@@ -32,6 +32,9 @@ from .solvers import Decision, decide, verify_witness
 
 SIZE_CAP_ENV = "PREFARG_SIZE_CAP"
 
+# `gen` draws one random number per ordered pair of arguments.
+GEN_ARGS_CAP = 5000
+
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_INPUT_ERROR = 2
@@ -49,7 +52,10 @@ def _size_cap(default: int) -> int:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PrefargError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _load_instance(framework_path: str, labelling_path: str):
@@ -150,6 +156,11 @@ def _cmd_oracle(args) -> int:
 def _cmd_gen(args) -> int:
     if args.args < 0:
         raise PrefargError("--args must be nonnegative")
+    if args.args > GEN_ARGS_CAP:
+        raise PrefargError(
+            f"--args {args.args} exceeds the cap of {GEN_ARGS_CAP}:"
+            " gen draws one random number per ordered pair of arguments"
+        )
     if not 0.0 <= args.attack_prob <= 1.0:
         raise PrefargError("--attack-prob must lie in [0, 1]")
     rng = random.Random(args.seed)

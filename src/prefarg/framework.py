@@ -67,27 +67,18 @@ class Framework:
         self._require(name)
         return self._targets[name]
 
-    def defends(self, defenders: Iterable[str], name: str) -> bool:
-        """True when every attacker of `name` is attacked by some defender."""
-        defender_set = frozenset(defenders)
-        for d in defender_set:
-            self._require(d)
-        self._require(name)
-        return all(
-            any((d, attacker) in self.attacks for d in defender_set)
-            for attacker in self._attackers[name]
-        )
-
-    def connected_components(self) -> tuple[frozenset[str], ...]:
-        """Partition of the arguments into undirected components.
-
-        Components are returned ordered by their smallest member name and
-        isolated arguments form singleton components.
-        """
-        neighbours: dict[str, set[str]] = {a: set() for a in self.arguments}
+    @cached_property
+    def _neighbours(self) -> dict[str, set[str]]:
+        """Undirected adjacency: the attackers and targets of each argument."""
+        table: dict[str, set[str]] = {a: set() for a in self.arguments}
         for src, dst in self.attacks:
-            neighbours[src].add(dst)
-            neighbours[dst].add(src)
+            table[src].add(dst)
+            table[dst].add(src)
+        return table
+
+    @cached_property
+    def _components(self) -> tuple[frozenset[str], ...]:
+        neighbours = self._neighbours
         seen: set[str] = set()
         components = []
         for start in sorted(self.arguments):
@@ -106,6 +97,20 @@ class Framework:
             components.append(frozenset(block))
         return tuple(components)
 
+    @cached_property
+    def _component_of(self) -> dict[str, int]:
+        """Position in `connected_components()` of each argument's component."""
+        return {a: i for i, block in enumerate(self._components) for a in block}
+
+    def connected_components(self) -> tuple[frozenset[str], ...]:
+        """Partition of the arguments into undirected components.
+
+        Components are returned ordered by their smallest member name and
+        isolated arguments form singleton components. Computed once per
+        framework.
+        """
+        return self._components
+
     def restrict(self, subset: Iterable[str]) -> "Framework":
         """Subframework induced by the given argument subset."""
         keep = frozenset(subset)
@@ -117,17 +122,13 @@ class Framework:
 
     def has_cycle(self) -> bool:
         """True when a directed attack cycle exists; self-attacks count."""
-        indegree = {a: 0 for a in self.arguments}
-        out: dict[str, list[str]] = {a: [] for a in self.arguments}
-        for src, dst in self.attacks:
-            indegree[dst] += 1
-            out[src].append(dst)
-        queue = deque(a for a in self.arguments if indegree[a] == 0)
+        indegree = {a: len(srcs) for a, srcs in self._attackers.items()}
+        queue = deque(a for a, count in indegree.items() if count == 0)
         removed = 0
         while queue:
             node = queue.popleft()
             removed += 1
-            for other in out[node]:
+            for other in self._targets[node]:
                 indegree[other] -= 1
                 if indegree[other] == 0:
                     queue.append(other)

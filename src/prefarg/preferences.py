@@ -76,14 +76,8 @@ def validate_order(framework: Framework, order: PreferenceOrder) -> bool:
     """True when the order is a CC-wise total order on the framework."""
     if order.arguments() != framework.arguments:
         return False
-    component_of: dict[str, int] = {}
-    for index, component in enumerate(framework.connected_components()):
-        for name in component:
-            component_of[name] = index
-    for cls in order.classes:
-        if len({component_of[a] for a in cls}) != 1:
-            return False
-    return True
+    component_of = framework._component_of
+    return all(len({component_of[a] for a in cls}) == 1 for cls in order.classes)
 
 
 @dataclass(frozen=True, eq=True)
@@ -195,6 +189,23 @@ def _bfs_path(start: str, goal: str, successors: Callable[[str], Iterable[str]])
     raise AssertionError("no path found inside a strongly connected set")
 
 
+def _walk_components(
+    framework: Framework, fn: PreferenceFunction
+) -> tuple[tuple[str, ...] | None, dict[str, int]]:
+    """An inconsistent cycle or None, plus the walk graph's strong components."""
+    _require_total_fn(framework, fn)
+    strict_edges = frozenset((t, s) for s, t in fn.zero_attacks)
+    succ: dict[str, list[str]] = {a: [] for a in framework.arguments}
+    for src, dst in strict_edges | fn.one_attacks:
+        succ[src].append(dst)
+    component = _strongly_connected(sorted(framework.arguments), succ.__getitem__)
+    for src, dst in sorted(strict_edges):
+        if component[src] == component[dst]:
+            path = _bfs_path(dst, src, succ.__getitem__)
+            return (src,) + tuple(path[:-1]), component
+    return None, component
+
+
 def consistency_certificate(
     framework: Framework, fn: PreferenceFunction
 ) -> tuple[str, ...] | None:
@@ -204,18 +215,7 @@ def consistency_certificate(
     every 0-bit attack. A function is inconsistent exactly when some cycle
     of that graph uses a converse-of-0 edge, i.e. a strict preference step.
     """
-    _require_total_fn(framework, fn)
-    strict_edges = frozenset((t, s) for s, t in fn.zero_attacks)
-    edges = strict_edges | fn.one_attacks
-    succ: dict[str, list[str]] = {a: [] for a in framework.arguments}
-    for src, dst in edges:
-        succ[src].append(dst)
-    component = _strongly_connected(sorted(framework.arguments), lambda a: succ[a])
-    for src, dst in sorted(strict_edges):
-        if component[src] == component[dst]:
-            path = _bfs_path(dst, src, lambda a: succ[a])
-            return (src,) + tuple(path[:-1])
-    return None
+    return _walk_components(framework, fn)[0]
 
 
 def is_consistent(framework: Framework, fn: PreferenceFunction) -> bool:
@@ -240,46 +240,30 @@ def pref_fn_to_order(framework: Framework, fn: PreferenceFunction) -> Preference
     longest chain of strict constraints leading into them, which merges
     unconstrained arguments as low as possible.
     """
-    certificate = consistency_certificate(framework, fn)
+    certificate, component = _walk_components(framework, fn)
     if certificate is not None:
         raise InconsistentPreferenceError(
             "preference function has an inconsistent cycle", cycle=certificate
         )
-    nodes = sorted(framework.arguments)
-    weak: dict[str, set[str]] = {a: set() for a in nodes}
-    strict: dict[str, set[str]] = {a: set() for a in nodes}
+    # The constraint graph is the converse of the walk graph, so the walk
+    # graph's strong components are the classes. Condense to class-level
+    # edges; a strict edge forces a rank increase, and consistency keeps
+    # every strict edge between two different classes.
+    edge_strict: dict[tuple[int, int], bool] = {}
     for (src, dst), bit in fn.bits.items():
         if bit == 0:
-            strict[src].add(dst)
-        else:
-            weak[dst].add(src)
+            edge_strict[(component[src], component[dst])] = True
+        elif component[src] != component[dst]:
+            edge_strict.setdefault((component[dst], component[src]), False)
 
-    component = _strongly_connected(nodes, lambda a: weak[a] | strict[a])
-    members: dict[int, list[str]] = {}
-    for name in nodes:
-        members.setdefault(component[name], []).append(name)
-
-    # Condense to class-level edges; a strict edge forces a rank increase.
-    edge_strict: dict[tuple[int, int], bool] = {}
-    for src in nodes:
-        for dst in strict[src]:
-            key = (component[src], component[dst])
-            if key[0] == key[1]:
-                raise AssertionError("strict constraint inside an equivalence class")
-            edge_strict[key] = True
-    for src in nodes:
-        for dst in weak[src]:
-            key = (component[src], component[dst])
-            if key[0] != key[1]:
-                edge_strict.setdefault(key, False)
-
-    indegree = {c: 0 for c in members}
-    out: dict[int, list[tuple[int, bool]]] = {c: [] for c in members}
+    class_ids = set(component.values())
+    indegree = {c: 0 for c in class_ids}
+    out: dict[int, list[tuple[int, bool]]] = {c: [] for c in class_ids}
     for (a, b), is_strict in edge_strict.items():
         indegree[b] += 1
         out[a].append((b, is_strict))
-    rank = {c: 0 for c in members}
-    queue = deque(c for c in members if indegree[c] == 0)
+    rank = {c: 0 for c in class_ids}
+    queue = deque(c for c in class_ids if indegree[c] == 0)
     while queue:
         cls = queue.popleft()
         for nxt, is_strict in out[cls]:

@@ -22,23 +22,30 @@ def _check_index(index: int) -> None:
         raise ValueError(f"reduction index must be one of {REDUCTIONS}, got {index!r}")
 
 
+def _defeat_graph(framework: Framework, down, index: int) -> Framework:
+    """Reduction `index` given the attacks whose source is strictly below its target.
+
+    Every reduction keeps the other attacks; 1 and 3 add the converse of each
+    down attack, and 2 and 3 keep the down attacks that have no converse.
+    """
+    attacks = framework.attacks
+    kept = attacks - down
+    if index in (1, 3):
+        kept |= {(dst, src) for src, dst in down}
+    if index in (2, 3):
+        kept |= {(src, dst) for src, dst in down if (dst, src) not in attacks}
+    return Framework(framework.arguments, kept)
+
+
 def reduce(framework: Framework, order: PreferenceOrder, index: int) -> Framework:
     """Apply reduction `index` to the framework under the given order."""
     _check_index(index)
     if not validate_order(framework, order):
         raise InvalidOrderError("order is not a CC-wise total order on the framework")
-    attacks = framework.attacks
-    if index == 4:
-        kept = {(a, b) for a, b in attacks if order.leq(b, a)}
-        return Framework(framework.arguments, kept)
-    c1 = {(a, b) for a, b in attacks if order.leq(b, a)}
-    c1 |= {(b, a) for a, b in attacks if order.lt(a, b)}
-    if index == 1:
-        return Framework(framework.arguments, c1)
-    c2 = {(a, b) for a, b in attacks if order.leq(b, a) or (b, a) not in attacks}
-    if index == 2:
-        return Framework(framework.arguments, c2)
-    return Framework(framework.arguments, c1 | c2)
+    rank = order.rank
+    return _defeat_graph(
+        framework, {(a, b) for a, b in framework.attacks if rank(a) < rank(b)}, index
+    )
 
 
 def graph_from_pref_fn(
@@ -50,11 +57,10 @@ def graph_from_pref_fn(
 ) -> Framework:
     """Defeat graph induced directly by a consistent preference function.
 
-    Index 1 keeps the 1-bit attacks and reverses the 0-bit ones; index 2 is
-    the same after forcing the bit to 1 on one-way attacks, which reduction
-    2 never touches (pass strict=True to reject such bits instead); index 3
-    additionally keeps every one-way attack; index 4 keeps exactly the
-    1-bit attacks.
+    The 0-bit attacks are the ones whose source is strictly below its target,
+    so the function feeds the same kernel as `reduce`. Reduction 2 keeps
+    one-way attacks whatever their bit; pass strict=True to reject a 0 bit on
+    one of them instead.
     """
     _check_index(index)
     certificate = consistency_certificate(framework, fn)
@@ -62,23 +68,11 @@ def graph_from_pref_fn(
         raise InconsistentPreferenceError(
             "preference function has an inconsistent cycle", cycle=certificate
         )
-    bits = dict(fn.bits)
-    mutual = framework.bidirectional_attacks()
-    if index == 2:
-        offenders = sorted(att for att, bit in bits.items() if bit == 0 and att not in mutual)
+    down = fn.zero_attacks
+    if index == 2 and strict:
+        offenders = sorted((s, t) for s, t in down if (t, s) not in framework.attacks)
         if offenders:
-            if strict:
-                raise WpsgConstraintError(
-                    f"one-way attacks mapped to 0 under reduction 2: {offenders}"
-                )
-            for att in offenders:
-                bits[att] = 1
-    ones = {att for att, bit in bits.items() if bit == 1}
-    reversed_zeros = {(t, s) for (s, t), bit in bits.items() if bit == 0}
-    if index in (1, 2):
-        kept = reversed_zeros | ones
-    elif index == 3:
-        kept = (set(framework.attacks) - set(mutual)) | reversed_zeros | ones
-    else:
-        kept = ones
-    return Framework(framework.arguments, kept)
+            raise WpsgConstraintError(
+                f"one-way attacks mapped to 0 under reduction 2: {offenders}"
+            )
+    return _defeat_graph(framework, down, index)

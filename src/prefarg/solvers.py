@@ -14,13 +14,7 @@ from .errors import DomainMismatchError, InvalidOrderError
 from .framework import Framework
 from .preferences import PreferenceFunction, PreferenceOrder, pref_fn_to_order, validate_order
 from .reductions import reduce
-from .semantics import (
-    OUT,
-    Labelling,
-    completeness_violation,
-    is_complete,
-    require_total,
-)
+from .semantics import Labelling, completeness_violation, is_complete, require_total
 
 
 @dataclass(frozen=True)
@@ -44,22 +38,20 @@ class Decision:
         return "yes" if self.yes else "no"
 
 
-def _attack_between_in_and_undec(framework: Framework, labelling: Labelling):
-    """First attack inside I x I, I x U or U x I, if any (condition 1)."""
+def _conditions_1_2(framework: Framework, labelling: Labelling) -> Certificate | None:
+    """First violation of conditions 1-2, shared by reductions 1 and 3.
+
+    Condition 1 forbids attacks inside I x I, I x U and U x I; condition 2
+    asks every out argument for an in-labelled attacker or target.
+    """
     in_args, undec = labelling.in_args, labelling.undec_args
     for src, dst in sorted(framework.attacks):
         src_in, dst_in = src in in_args, dst in in_args
         if (src_in and dst_in) or (src_in and dst in undec) or (src in undec and dst_in):
-            return (src, dst)
-    return None
-
-
-def _out_without_in_neighbour(framework: Framework, labelling: Labelling):
-    """First out argument with no in-labelled attacker or target (condition 2)."""
-    in_args = labelling.in_args
+            return Certificate(1, (src, dst), "attack between in/undec labelled arguments")
     for name in sorted(labelling.out_args):
         if not ((framework.attackers(name) | framework.targets(name)) & in_args):
-            return name
+            return Certificate(2, (name,), "out argument with no in-labelled neighbour")
     return None
 
 
@@ -95,21 +87,34 @@ def _shortest_cycle(framework: Framework) -> frozenset[str]:
     return best[2]
 
 
-def _layer_from(sub: Framework, seed: frozenset[str]) -> dict[str, int]:
-    """Undirected breadth-first layers over a connected subframework."""
-    neighbours: dict[str, set[str]] = {a: set() for a in sub.arguments}
-    for src, dst in sub.attacks:
-        neighbours[src].add(dst)
-        neighbours[dst].add(src)
+def _undec_blocks(framework: Framework, undec: frozenset[str]) -> list[Framework]:
+    """Components of the undec subframework, its attacks split in one pass."""
+    undec_part = framework.restrict(undec)
+    components = undec_part.connected_components()
+    component_of = undec_part._component_of
+    attacks: list[list] = [[] for _ in components]
+    for src, dst in undec_part.attacks:
+        attacks[component_of[src]].append((src, dst))
+    return [Framework(block, atts) for block, atts in zip(components, attacks)]
+
+
+def _layer_bits(sub: Framework, seed, bits: dict) -> None:
+    """Set the bits of a connected block's attacks from undirected BFS layers.
+
+    Layers start at 0 on the seed arguments; an attack gets bit 0 when it
+    runs down the layers and bit 1 otherwise.
+    """
+    neighbours = sub._neighbours
     layer = {a: 0 for a in seed}
-    queue = deque(sorted(seed))
+    queue = deque(seed)
     while queue:
         node = queue.popleft()
         for nxt in neighbours[node]:
             if nxt not in layer:
                 layer[nxt] = layer[node] + 1
                 queue.append(nxt)
-    return layer
+    for src, dst in sub.attacks:
+        bits[(src, dst)] = 1 if layer[src] <= layer[dst] else 0
 
 
 def _discharge_out_attacks(framework: Framework, labelling: Labelling, bits: dict) -> None:
@@ -134,22 +139,10 @@ def decide_ex1(framework: Framework, labelling: Labelling) -> Decision:
     require_total(framework, labelling)
     if completeness_violation(framework, labelling) is None:
         return _trivial_yes(framework, 1)
-    bad_attack = _attack_between_in_and_undec(framework, labelling)
-    if bad_attack is not None:
-        return Decision(
-            False,
-            1,
-            certificate=Certificate(1, bad_attack, "attack between in/undec labelled arguments"),
-        )
-    lonely_out = _out_without_in_neighbour(framework, labelling)
-    if lonely_out is not None:
-        return Decision(
-            False,
-            1,
-            certificate=Certificate(2, (lonely_out,), "out argument with no in-labelled neighbour"),
-        )
-    undec_part = framework.restrict(labelling.undec_args)
-    blocks = [undec_part.restrict(c) for c in undec_part.connected_components()]
+    failed = _conditions_1_2(framework, labelling)
+    if failed is not None:
+        return Decision(False, 1, certificate=failed)
+    blocks = _undec_blocks(framework, labelling.undec_args)
     for sub in blocks:
         if not sub.has_cycle():
             return Decision(
@@ -161,9 +154,7 @@ def decide_ex1(framework: Framework, labelling: Labelling) -> Decision:
             )
     bits: dict = {}
     for sub in blocks:
-        layer = _layer_from(sub, _shortest_cycle(sub))
-        for src, dst in sub.attacks:
-            bits[(src, dst)] = 1 if layer[src] <= layer[dst] else 0
+        _layer_bits(sub, _shortest_cycle(sub), bits)
     _discharge_out_attacks(framework, labelling, bits)
     order = pref_fn_to_order(framework, PreferenceFunction(bits))
     return Decision(True, 1, witness=order)
@@ -191,20 +182,9 @@ def decide_ex3(framework: Framework, labelling: Labelling) -> Decision:
     require_total(framework, labelling)
     if completeness_violation(framework, labelling) is None:
         return _trivial_yes(framework, 3)
-    bad_attack = _attack_between_in_and_undec(framework, labelling)
-    if bad_attack is not None:
-        return Decision(
-            False,
-            3,
-            certificate=Certificate(1, bad_attack, "attack between in/undec labelled arguments"),
-        )
-    lonely_out = _out_without_in_neighbour(framework, labelling)
-    if lonely_out is not None:
-        return Decision(
-            False,
-            3,
-            certificate=Certificate(2, (lonely_out,), "out argument with no in-labelled neighbour"),
-        )
+    failed = _conditions_1_2(framework, labelling)
+    if failed is not None:
+        return Decision(False, 3, certificate=failed)
     undec = labelling.undec_args
     for name in sorted(undec):
         if not ((framework.attackers(name) | framework.targets(name)) & undec):
@@ -213,24 +193,18 @@ def decide_ex3(framework: Framework, labelling: Labelling) -> Decision:
                 3,
                 certificate=Certificate(3, (name,), "undec argument isolated among undec arguments"),
             )
-    undec_part = framework.restrict(undec)
     bits: dict = {}
-    for component in undec_part.connected_components():
-        sub = undec_part.restrict(component)
-        if all(sub.attackers(v) for v in component):
+    for sub in _undec_blocks(framework, undec):
+        if all(sub.attackers(v) for v in sub.arguments):
             for att in sub.attacks:
                 bits[att] = 1
         elif sub.has_cycle():
-            layer = _layer_from(sub, _shortest_cycle(sub))
-            for src, dst in sub.attacks:
-                bits[(src, dst)] = 1 if layer[src] <= layer[dst] else 0
+            _layer_bits(sub, _shortest_cycle(sub), bits)
         else:
             # No cycle to anchor on: reverse one attack to seed a mutual pair,
             # then layer outwards from its two endpoints.
             seed = min(sub.attacks)
-            layer = _layer_from(sub, frozenset(seed))
-            for src, dst in sub.attacks:
-                bits[(src, dst)] = 1 if layer[src] <= layer[dst] else 0
+            _layer_bits(sub, seed, bits)
             bits[seed] = 0
     _discharge_out_attacks(framework, labelling, bits)
     order = pref_fn_to_order(framework, PreferenceFunction(bits))
@@ -343,12 +317,8 @@ def decide_ex4(framework: Framework, labelling: Labelling) -> Decision:
             else "rank value exceeded the argument count"
         )
         return Decision(False, 4, certificate=Certificate(2, (argument,), detail))
-    bits: dict = {}
-    for src, dst in framework.attacks:
-        if src in out_args or dst in out_args:
-            bits[(src, dst)] = 1 if labelling.label(dst) == OUT else 0
-        else:
-            bits[(src, dst)] = 0 if psi[src] > psi[dst] else 1
+    bits = {(src, dst): 0 if psi[src] > psi[dst] else 1 for src, dst in core.attacks}
+    _discharge_out_attacks(framework, labelling, bits)
     order = pref_fn_to_order(framework, PreferenceFunction(bits))
     return Decision(True, 4, witness=order)
 

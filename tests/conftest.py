@@ -91,3 +91,37 @@ def all_frameworks(names: tuple[str, ...]):
     pairs = [(s, t) for s in names for t in names]
     for mask in range(1 << len(pairs)):
         yield Framework(names, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
+def reference_reduce(framework: Framework, order: PreferenceOrder, index: int) -> Framework:
+    """The four reductions written out from their definitions, pair by pair.
+
+    Independent of `prefarg.reductions`: ranks come straight from the
+    order's classes and every ordered pair of arguments is tested against
+    the membership condition of the reduced attack relation.
+    """
+    rank = {name: level for level, cls in enumerate(order.classes) for name in cls}
+    attacks = framework.attacks
+
+    def below(a, b):
+        return rank[a] < rank[b]
+
+    def reflection(a, b):
+        # (a, b) survives unless a is below b, and (b, a) turns into (a, b) when b is below a
+        return ((a, b) in attacks and not below(a, b)) or ((b, a) in attacks and below(b, a))
+
+    def weak_removal(a, b):
+        # (a, b) is removed only when a is below b and b attacks a back
+        return (a, b) in attacks and (not below(a, b) or (b, a) not in attacks)
+
+    def removal(a, b):
+        return (a, b) in attacks and not below(a, b)
+
+    member = {
+        1: reflection,
+        2: weak_removal,
+        3: lambda a, b: reflection(a, b) or weak_removal(a, b),
+        4: removal,
+    }[index]
+    names = sorted(framework.arguments)
+    return Framework(names, [(a, b) for a in names for b in names if member(a, b)])

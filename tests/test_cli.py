@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -292,3 +293,43 @@ def test_exhaustive_small_cli_agreement(tmp_path, capsys):
             )
             capsys.readouterr()
             assert decide_code == oracle_code
+
+
+NOT_UTF8 = b"\xff"
+
+
+def test_solve_non_utf8_framework_exits_two(tmp_path, capsys):
+    fw = tmp_path / "bad.apx"
+    fw.write_bytes(NOT_UTF8)
+    lab = write(tmp_path, "l1.json", L1_JSON)
+    code = main(["solve", "--framework", str(fw), "--labelling", str(lab), "--reduction", "1"])
+    assert code == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_oracle_non_utf8_labelling_exits_two(tmp_path, two_arg_file, capsys):
+    lab = tmp_path / "bad.json"
+    lab.write_bytes(b'{"in": [], "out": [], "undec": ["a", "b"]}' + NOT_UTF8)
+    code = main(["oracle", "--framework", str(two_arg_file), "--labelling", str(lab), "--reduction", "1"])
+    assert code == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_reduce_non_utf8_order_exits_two(tmp_path, example1_files, capsys):
+    fw, _ = example1_files
+    order = tmp_path / "order.txt"
+    order.write_bytes(b"a = b = c = d" + NOT_UTF8)
+    code = main(["reduce", "--framework", str(fw), "--order", str(order), "--reduction", "1"])
+    assert code == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_gen_refuses_args_above_the_cap_at_once(capsys):
+    from prefarg.cli import GEN_ARGS_CAP
+
+    for size in (GEN_ARGS_CAP + 1, 1_000_000):
+        started = time.perf_counter()
+        code = main(["gen", "--args", str(size), "--attack-prob", "0.5", "--seed", "1"])
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert f"cap of {GEN_ARGS_CAP}" in capsys.readouterr().err

@@ -24,26 +24,6 @@ def test_attackers_unknown_argument(example1):
         example1.attackers("z")
 
 
-def test_defends_example1(example1):
-    assert example1.defends({"a", "d"}, "a")
-
-
-def test_defends_unattacked_is_vacuous(example1):
-    fw = Framework("xy", [("x", "y")])
-    assert fw.defends(set(), "x")
-
-
-def test_defends_uncountered_attacker():
-    fw = Framework("xy", [("x", "y")])
-    assert not fw.defends(set(), "y")
-
-
-def test_defends_unknown_argument():
-    fw = Framework("xy", [("x", "y")])
-    with pytest.raises(UnknownArgumentError):
-        fw.defends({"z"}, "y")
-
-
 def test_connected_components_example1(example1):
     assert example1.connected_components() == (frozenset("abcd"),)
 

@@ -1,0 +1,57 @@
+"""Graph queries checked against networkx, used here as an independent reference."""
+
+import random
+
+import pytest
+
+from conftest import random_framework
+from prefarg import Framework
+from prefarg.preferences import _strongly_connected
+
+nx = pytest.importorskip("networkx")
+
+
+def random_frameworks(seed: int, count: int = 200):
+    """Random digraphs with self-attacks allowed, plus a few isolated arguments."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        core = random_framework(rng, rng.randrange(0, 9), rng.random() * 0.4)
+        isolated = [f"y{i}" for i in range(rng.randrange(0, 3))]
+        yield Framework(core.arguments | set(isolated), core.attacks)
+
+
+def as_digraph(framework: Framework):
+    graph = nx.DiGraph()
+    graph.add_nodes_from(framework.arguments)
+    graph.add_edges_from(framework.attacks)
+    return graph
+
+
+def test_connected_components_match_networkx():
+    for fw in random_frameworks(51):
+        expected = {frozenset(c) for c in nx.weakly_connected_components(as_digraph(fw))}
+        components = fw.connected_components()
+        assert set(components) == expected
+        assert len(components) == len(expected)
+        smallest = [min(c) for c in components]
+        assert smallest == sorted(smallest)
+
+
+def test_has_cycle_matches_networkx():
+    saw = set()
+    for fw in random_frameworks(52):
+        cyclic = not nx.is_directed_acyclic_graph(as_digraph(fw))
+        assert fw.has_cycle() == cyclic
+        saw.add(cyclic)
+    assert saw == {True, False}
+
+
+def test_strongly_connected_matches_networkx():
+    for fw in random_frameworks(53):
+        successors = {a: sorted(fw.targets(a)) for a in fw.arguments}
+        component = _strongly_connected(sorted(fw.arguments), successors.__getitem__)
+        blocks: dict[int, set[str]] = {}
+        for name, block in component.items():
+            blocks.setdefault(block, set()).add(name)
+        expected = {frozenset(c) for c in nx.strongly_connected_components(as_digraph(fw))}
+        assert {frozenset(b) for b in blocks.values()} == expected

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import all_frameworks, random_framework, random_order
+from conftest import all_frameworks, random_framework, random_order, reference_reduce
 from prefarg import (
     Framework,
     InvalidOrderError,
@@ -89,6 +89,14 @@ def test_equivalence_propositions_sampled_three_four_args():
             fn = order_to_pref_fn(fw, order)
             for index in (1, 2, 3, 4):
                 assert reduce(fw, order, index) == graph_from_pref_fn(fw, fn, index)
+
+
+def test_reduce_matches_the_definitions_on_every_framework_up_to_three_args():
+    for names in ((), ("a",), ("a", "b"), ("a", "b", "c")):
+        for fw in all_frameworks(names):
+            for order in enumerate_orders(fw):
+                for index in (1, 2, 3, 4):
+                    assert reduce(fw, order, index) == reference_reduce(fw, order, index)
 
 
 def test_structural_invariants_on_random_instances():
