@@ -120,19 +120,25 @@ class Framework:
             keep, {(s, t) for s, t in self.attacks if s in keep and t in keep}
         )
 
-    def has_cycle(self) -> bool:
-        """True when a directed attack cycle exists; self-attacks count."""
+    def _cyclic_core(self) -> frozenset[str]:
+        """What is left after repeatedly deleting arguments with no attacker left.
+
+        Every argument left keeps an attacker that is also left, so the core
+        is empty exactly when the attack graph is acyclic; self-attacks count.
+        """
         indegree = {a: len(srcs) for a, srcs in self._attackers.items()}
-        queue = deque(a for a, count in indegree.items() if count == 0)
-        removed = 0
-        while queue:
-            node = queue.popleft()
-            removed += 1
+        queue = [a for a, count in indegree.items() if count == 0]
+        for node in queue:
+            del indegree[node]
             for other in self._targets[node]:
                 indegree[other] -= 1
                 if indegree[other] == 0:
                     queue.append(other)
-        return removed < len(self.arguments)
+        return frozenset(indegree)
+
+    def has_cycle(self) -> bool:
+        """True when a directed attack cycle exists; self-attacks count."""
+        return bool(self._cyclic_core())
 
     def bidirectional_attacks(self) -> frozenset[Attack]:
         """Attacks whose converse is also an attack; self-attacks qualify."""

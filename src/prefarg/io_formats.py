@@ -221,15 +221,18 @@ def parse_result(text: str) -> Decision:
     if not isinstance(data, dict) or "verdict" not in data or "reduction" not in data:
         raise ParseError("result must be a JSON object with verdict and reduction")
     witness = data.get("witness")
-    order = PreferenceOrder(witness) if witness is not None else None
     cert_data = data.get("certificate")
-    certificate = (
-        Certificate(
-            cert_data["condition"],
-            tuple(cert_data["witness"]),
-            cert_data.get("detail", ""),
+    try:
+        order = PreferenceOrder(witness) if witness is not None else None
+        certificate = (
+            Certificate(
+                cert_data["condition"],
+                tuple(cert_data["witness"]),
+                cert_data.get("detail", ""),
+            )
+            if cert_data is not None
+            else None
         )
-        if cert_data is not None
-        else None
-    )
+    except (KeyError, TypeError, InvalidOrderError) as exc:
+        raise ParseError(f"result has a malformed witness or certificate: {exc}") from None
     return Decision(data["verdict"] == "yes", data["reduction"], order, certificate)

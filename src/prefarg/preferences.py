@@ -9,7 +9,6 @@ closes into a cycle containing a strict step.
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -34,18 +33,15 @@ class PreferenceOrder:
 
     def __init__(self, classes: Iterable[Iterable[str]] = ()):
         tup = tuple(frozenset(c) for c in classes)
-        seen: set[str] = set()
-        for cls in tup:
+        rank: dict[str, int] = {}
+        for i, cls in enumerate(tup):
             if not cls:
                 raise InvalidOrderError("empty preference class")
-            if cls & seen:
-                raise InvalidOrderError("preference classes overlap")
-            seen |= cls
+            for name in cls:
+                if rank.setdefault(name, i) != i:
+                    raise InvalidOrderError("preference classes overlap")
         object.__setattr__(self, "classes", tup)
-
-    @cached_property
-    def _rank(self) -> dict[str, int]:
-        return {a: i for i, cls in enumerate(self.classes) for a in cls}
+        object.__setattr__(self, "_rank", rank)
 
     def arguments(self) -> frozenset[str]:
         return frozenset(self._rank)

@@ -55,38 +55,6 @@ def _conditions_1_2(framework: Framework, labelling: Labelling) -> Certificate |
     return None
 
 
-def _shortest_cycle(framework: Framework) -> frozenset[str]:
-    """Vertex set of a shortest directed cycle; the framework must have one.
-
-    Ties break towards the smallest starting argument name.
-    """
-    best: tuple[int, str, frozenset[str]] | None = None
-    for start in sorted(framework.arguments):
-        dist = {start: 0}
-        parent: dict[str, str] = {}
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for nxt in sorted(framework.targets(node)):
-                if nxt not in dist:
-                    dist[nxt] = dist[node] + 1
-                    parent[nxt] = node
-                    queue.append(nxt)
-        closers = [u for u in framework.attackers(start) if u in dist]
-        if not closers:
-            continue
-        closer = min(closers, key=lambda u: (dist[u], u))
-        length = dist[closer] + 1
-        if best is None or length < best[0]:
-            nodes = [closer]
-            while nodes[-1] != start:
-                nodes.append(parent[nodes[-1]])
-            best = (length, start, frozenset(nodes))
-    if best is None:
-        raise AssertionError("no directed cycle found")
-    return best[2]
-
-
 def _undec_blocks(framework: Framework, undec: frozenset[str]) -> list[Framework]:
     """Components of the undec subframework, its attacks split in one pass."""
     undec_part = framework.restrict(undec)
@@ -102,7 +70,8 @@ def _layer_bits(sub: Framework, seed, bits: dict) -> None:
     """Set the bits of a connected block's attacks from undirected BFS layers.
 
     Layers start at 0 on the seed arguments; an attack gets bit 0 when it
-    runs down the layers and bit 1 otherwise.
+    runs down the layers and bit 1 otherwise. Seeded with a cyclic core,
+    every core argument keeps an attacker inside the core at bit 1.
     """
     neighbours = sub._neighbours
     layer = {a: 0 for a in seed}
@@ -142,9 +111,10 @@ def decide_ex1(framework: Framework, labelling: Labelling) -> Decision:
     failed = _conditions_1_2(framework, labelling)
     if failed is not None:
         return Decision(False, 1, certificate=failed)
-    blocks = _undec_blocks(framework, labelling.undec_args)
-    for sub in blocks:
-        if not sub.has_cycle():
+    bits: dict = {}
+    for sub in _undec_blocks(framework, labelling.undec_args):
+        core = sub._cyclic_core()
+        if not core:
             return Decision(
                 False,
                 1,
@@ -152,9 +122,7 @@ def decide_ex1(framework: Framework, labelling: Labelling) -> Decision:
                     3, tuple(sorted(sub.arguments)), "undec component without a cycle"
                 ),
             )
-    bits: dict = {}
-    for sub in blocks:
-        _layer_bits(sub, _shortest_cycle(sub), bits)
+        _layer_bits(sub, core, bits)
     _discharge_out_attacks(framework, labelling, bits)
     order = pref_fn_to_order(framework, PreferenceFunction(bits))
     return Decision(True, 1, witness=order)
@@ -195,11 +163,9 @@ def decide_ex3(framework: Framework, labelling: Labelling) -> Decision:
             )
     bits: dict = {}
     for sub in _undec_blocks(framework, undec):
-        if all(sub.attackers(v) for v in sub.arguments):
-            for att in sub.attacks:
-                bits[att] = 1
-        elif sub.has_cycle():
-            _layer_bits(sub, _shortest_cycle(sub), bits)
+        core = sub._cyclic_core()
+        if core:
+            _layer_bits(sub, core, bits)
         else:
             # No cycle to anchor on: reverse one attack to seed a mutual pair,
             # then layer outwards from its two endpoints.

@@ -55,3 +55,20 @@ def test_strongly_connected_matches_networkx():
             blocks.setdefault(block, set()).add(name)
         expected = {frozenset(c) for c in nx.strongly_connected_components(as_digraph(fw))}
         assert {frozenset(b) for b in blocks.values()} == expected
+
+
+def test_cyclic_core_is_the_nontrivial_sccs_and_their_descendants():
+    saw_partial = False
+    for fw in random_frameworks(54):
+        graph = as_digraph(fw)
+        expected = set()
+        for scc in nx.strongly_connected_components(graph):
+            node = next(iter(scc))
+            if len(scc) > 1 or graph.has_edge(node, node):
+                expected |= scc
+                expected |= nx.descendants(graph, node)
+        core = fw._cyclic_core()
+        assert core == expected
+        assert all(fw.attackers(a) & core for a in core)
+        saw_partial |= bool(core) and core != fw.arguments
+    assert saw_partial

@@ -220,6 +220,22 @@ def test_result_round_trip_random_decisions():
         assert parse_result(emit_result(decision)) == decision
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"verdict": "no", "reduction": 1, "certificate": {"witness": ["a"]}}',
+        '{"verdict": "no", "reduction": 1, "certificate": {"condition": 1, "witness": 5}}',
+        '{"verdict": "no", "reduction": 1, "certificate": 5}',
+        '{"verdict": "yes", "reduction": 1, "witness": 5}',
+        '{"verdict": "yes", "reduction": 1, "witness": [5]}',
+        '{"verdict": "yes", "reduction": 1, "witness": [["a"], ["a"]]}',
+    ],
+)
+def test_parse_result_malformed_witness_or_certificate(text):
+    with pytest.raises(ParseError, match="malformed witness or certificate"):
+        parse_result(text)
+
+
 def test_parse_result_ignores_timing():
     decision = Decision(True, 3, witness=PreferenceOrder([("a",)]))
     text = emit_result(decision, elapsed_ms=12.5)

@@ -115,6 +115,37 @@ def test_ex3_accepts_whatever_ex1_accepts(two_arg):
     assert verify_witness(two_arg, L2, 3, decision.witness)
 
 
+# --- reductions 1 and 3: cyclic cores that are not one simple cycle --------
+
+# Each shape is one undec block. The out argument o has no in attacker, so
+# every labelling below is incomplete and the layering has to run.
+CORE_SHAPES = {
+    "two_cycles_joined_by_a_path": [
+        ("a", "b"), ("b", "c"), ("c", "a"), ("p", "a"), ("p", "q"), ("q", "x"),
+        ("x", "y"), ("y", "x"),
+    ],
+    "cycle_with_a_downstream_tail": [
+        ("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "e"),
+    ],
+    "self_attack_with_a_tail": [("a", "a"), ("a", "b"), ("b", "c")],
+    "every_argument_attacked": [
+        ("a", "b"), ("b", "a"), ("b", "c"), ("c", "d"), ("d", "b"),
+    ],
+}
+
+
+@pytest.mark.parametrize("reduction", [1, 3])
+@pytest.mark.parametrize("shape", sorted(CORE_SHAPES))
+def test_cyclic_core_blocks_give_verified_witnesses(shape, reduction):
+    attacks = CORE_SHAPES[shape] + [("o", "i")]
+    fw = Framework({name for att in attacks for name in att}, attacks)
+    lab = Labelling(in_args="i", out_args="o", undec_args=fw.arguments - {"i", "o"})
+    assert not is_complete(fw, lab)
+    decision = decide(fw, lab, reduction)
+    assert decision.yes
+    assert verify_witness(fw, lab, reduction, decision.witness)
+
+
 # --- rank ------------------------------------------------------------------
 
 
