@@ -11,6 +11,7 @@ from typing import Iterable
 from .errors import InvalidOrderError, ParseError, UnknownArgumentError
 from .framework import NAME_PATTERN, Attack, Framework
 from .preferences import PreferenceFunction, PreferenceOrder, validate_order
+from .reductions import REDUCTIONS
 from .semantics import IN, OUT, UNDEC, Labelling
 from .solvers import Certificate, Decision
 
@@ -58,6 +59,12 @@ def emit_apx(framework: Framework) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _names(value, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ParseError(f"{what} must be a list of argument names")
+    return value
+
+
 def parse_labelling(text: str) -> Labelling:
     """Read a JSON object with "in"/"out"/"undec" lists of argument names."""
     try:
@@ -69,12 +76,7 @@ def parse_labelling(text: str) -> Labelling:
     unknown = set(data) - {IN, OUT, UNDEC}
     if unknown:
         raise ParseError(f"unknown labelling keys: {sorted(unknown)}")
-    sets = {}
-    for key in (IN, OUT, UNDEC):
-        value = data.get(key, [])
-        if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-            raise ParseError(f"labelling key {key!r} must be a list of argument names")
-        sets[key] = value
+    sets = {key: _names(data.get(key, []), f"labelling key {key!r}") for key in (IN, OUT, UNDEC)}
     try:
         return Labelling(sets[IN], sets[OUT], sets[UNDEC])
     except ValueError as exc:
@@ -220,19 +222,24 @@ def parse_result(text: str) -> Decision:
         raise ParseError(f"result is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or "verdict" not in data or "reduction" not in data:
         raise ParseError("result must be a JSON object with verdict and reduction")
-    witness = data.get("witness")
-    cert_data = data.get("certificate")
-    try:
-        order = PreferenceOrder(witness) if witness is not None else None
-        certificate = (
-            Certificate(
-                cert_data["condition"],
-                tuple(cert_data["witness"]),
-                cert_data.get("detail", ""),
-            )
-            if cert_data is not None
-            else None
-        )
-    except (KeyError, TypeError, InvalidOrderError) as exc:
-        raise ParseError(f"result has a malformed witness or certificate: {exc}") from None
-    return Decision(data["verdict"] == "yes", data["reduction"], order, certificate)
+    verdict, reduction = data["verdict"], data["reduction"]
+    if verdict not in ("yes", "no"):
+        raise ParseError(f'result verdict must be "yes" or "no", got {verdict!r}')
+    if type(reduction) is not int or reduction not in REDUCTIONS:
+        raise ParseError(f"result reduction must be one of {REDUCTIONS}, got {reduction!r}")
+    bad = "result has a malformed witness or certificate: "
+    witness, cert = data.get("witness"), data.get("certificate")
+    order = certificate = None
+    if witness is not None:
+        if not isinstance(witness, list):
+            raise ParseError(bad + "witness must be a list of classes")
+        try:
+            order = PreferenceOrder(_names(cls, bad + "witness class") for cls in witness)
+        except InvalidOrderError as exc:
+            raise ParseError(bad + str(exc)) from None
+    if cert is not None:
+        if not isinstance(cert, dict) or type(cert.get("condition")) is not int:
+            raise ParseError(bad + "certificate must be an object with an integer condition")
+        names = _names(cert.get("witness"), bad + "certificate witness")
+        certificate = Certificate(cert["condition"], tuple(names), cert.get("detail", ""))
+    return Decision(verdict == "yes", reduction, order, certificate)

@@ -268,11 +268,20 @@ def pref_fn_to_order(framework: Framework, fn: PreferenceFunction) -> Preference
             if indegree[nxt] == 0:
                 queue.append(nxt)
 
+    return order_by_depth(framework, {a: -rank[c] for a, c in component.items()})
+
+
+def order_by_depth(framework: Framework, depth: Mapping[str, int]) -> PreferenceOrder:
+    """Each component's arguments grouped by depth, deepest (least preferred) first.
+
+    An attack runs strictly down, its source below its target, exactly when
+    the source is deeper.
+    """
     classes: list[frozenset[str]] = []
     for block in framework.connected_components():
-        by_rank: dict[int, set[str]] = {}
+        by_depth: dict[int, set[str]] = {}
         for name in block:
-            by_rank.setdefault(rank[component[name]], set()).add(name)
-        for level in sorted(by_rank):
-            classes.append(frozenset(by_rank[level]))
+            by_depth.setdefault(depth[name], set()).add(name)
+        for level in sorted(by_depth, reverse=True):
+            classes.append(frozenset(by_depth[level]))
     return PreferenceOrder(classes)

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 from .errors import DomainMismatchError, InvalidOrderError
 from .framework import Framework
-from .preferences import PreferenceFunction, PreferenceOrder, pref_fn_to_order, validate_order
+from .preferences import PreferenceOrder, order_by_depth, validate_order
+# Unused here: benchmarks/tracing.py patches `pref_fn_to_order` under this name.
+from .preferences import pref_fn_to_order  # noqa: F401
 from .reductions import reduce
 from .semantics import Labelling, completeness_violation, is_complete, require_total
 
@@ -66,32 +68,33 @@ def _undec_blocks(framework: Framework, undec: frozenset[str]) -> list[Framework
     return [Framework(block, atts) for block, atts in zip(components, attacks)]
 
 
-def _layer_bits(sub: Framework, seed, bits: dict) -> None:
-    """Set the bits of a connected block's attacks from undirected BFS layers.
+def _layer(sub: Framework, seed, depth: dict) -> None:
+    """Write the undirected BFS layers of a connected block into `depth`.
 
-    Layers start at 0 on the seed arguments; an attack gets bit 0 when it
-    runs down the layers and bit 1 otherwise. Seeded with a cyclic core,
-    every core argument keeps an attacker inside the core at bit 1.
+    Layers start at 0 on the seed arguments, and an attack from a deeper
+    layer runs down. Seeded with a cyclic core, every core argument keeps an
+    attacker inside the core; every other argument keeps one on the layer
+    above it, directly or, under reductions 1 and 3, by reflection.
     """
     neighbours = sub._neighbours
-    layer = {a: 0 for a in seed}
+    depth.update(dict.fromkeys(seed, 0))
     queue = deque(seed)
     while queue:
         node = queue.popleft()
         for nxt in neighbours[node]:
-            if nxt not in layer:
-                layer[nxt] = layer[node] + 1
+            if nxt not in depth:
+                depth[nxt] = depth[node] + 1
                 queue.append(nxt)
-    for src, dst in sub.attacks:
-        bits[(src, dst)] = 1 if layer[src] <= layer[dst] else 0
 
 
-def _discharge_out_attacks(framework: Framework, labelling: Labelling, bits: dict) -> None:
-    """Keep attacks into out arguments, reverse attacks leaving them."""
-    out_args = labelling.out_args
-    for src, dst in framework.attacks:
-        if src in out_args or dst in out_args:
-            bits[(src, dst)] = 1 if dst in out_args else 0
+def _witness(framework: Framework, labelling: Labelling, depth: dict) -> PreferenceOrder:
+    """The order of the in/undec depths, with every out argument below them all.
+
+    Layers and rank values never exceed the argument count, so an attack
+    into an out argument is kept and one leaving it runs down.
+    """
+    depth.update(dict.fromkeys(labelling.out_args, len(framework.arguments) + 1))
+    return order_by_depth(framework, depth)
 
 
 def _trivial_yes(framework: Framework, reduction: int) -> Decision:
@@ -111,7 +114,7 @@ def decide_ex1(framework: Framework, labelling: Labelling) -> Decision:
     failed = _conditions_1_2(framework, labelling)
     if failed is not None:
         return Decision(False, 1, certificate=failed)
-    bits: dict = {}
+    depth = dict.fromkeys(labelling.in_args, 0)
     for sub in _undec_blocks(framework, labelling.undec_args):
         core = sub._cyclic_core()
         if not core:
@@ -122,10 +125,8 @@ def decide_ex1(framework: Framework, labelling: Labelling) -> Decision:
                     3, tuple(sorted(sub.arguments)), "undec component without a cycle"
                 ),
             )
-        _layer_bits(sub, core, bits)
-    _discharge_out_attacks(framework, labelling, bits)
-    order = pref_fn_to_order(framework, PreferenceFunction(bits))
-    return Decision(True, 1, witness=order)
+        _layer(sub, core, depth)
+    return Decision(True, 1, witness=_witness(framework, labelling, depth))
 
 
 def decide_ex2(framework: Framework, labelling: Labelling) -> Decision:
@@ -153,36 +154,23 @@ def decide_ex3(framework: Framework, labelling: Labelling) -> Decision:
     failed = _conditions_1_2(framework, labelling)
     if failed is not None:
         return Decision(False, 3, certificate=failed)
-    undec = labelling.undec_args
-    for name in sorted(undec):
-        if not ((framework.attackers(name) | framework.targets(name)) & undec):
-            return Decision(
-                False,
-                3,
-                certificate=Certificate(3, (name,), "undec argument isolated among undec arguments"),
-            )
-    bits: dict = {}
-    for sub in _undec_blocks(framework, undec):
-        core = sub._cyclic_core()
-        if core:
-            _layer_bits(sub, core, bits)
-        else:
-            # No cycle to anchor on: reverse one attack to seed a mutual pair,
-            # then layer outwards from its two endpoints.
-            seed = min(sub.attacks)
-            _layer_bits(sub, seed, bits)
-            bits[seed] = 0
-    _discharge_out_attacks(framework, labelling, bits)
-    order = pref_fn_to_order(framework, PreferenceFunction(bits))
-    return Decision(True, 3, witness=order)
+    depth = dict.fromkeys(labelling.in_args, 0)
+    for sub in _undec_blocks(framework, labelling.undec_args):
+        if not sub.attacks:
+            # Blocks come ordered by least name, so this is the least isolated argument.
+            detail = "undec argument isolated among undec arguments"
+            return Decision(False, 3, certificate=Certificate(3, tuple(sub.arguments), detail))
+        # Without a cycle, layer from the target d of the least attack (s, d):
+        # s lands on layer 1, so that attack runs down and becomes mutual.
+        _layer(sub, sub._cyclic_core() or {min(sub.attacks)[1]}, depth)
+    return Decision(True, 3, witness=_witness(framework, labelling, depth))
 
 
 def _rank_detail(framework: Framework, labelling: Labelling):
     """Fixpoint sweeps computing a ranking, or the reason none exists.
 
-    Returns (psi, None, trace) on success and (None, (kind, argument), trace)
-    on failure, where kind is "undec-unattacked" or "overflow". The trace
-    records the value map after each sweep.
+    Returns (psi, None) on success and (None, (kind, argument)) on failure,
+    where kind is "undec-unattacked" or "overflow".
     """
     require_total(framework, labelling)
     if labelling.out_args:
@@ -194,7 +182,6 @@ def _rank_detail(framework: Framework, labelling: Labelling):
     undec_attackers = {u: sorted(framework.attackers(u) & undec) for u in names}
     in_targets = {u: [v for v in targets[u] if v in in_args] for u in names}
     psi = {u: 0 for u in names}
-    trace: list[dict[str, int]] = []
     for _ in range((bound + 2) ** 2):
         changed = False
         for name in names:
@@ -204,20 +191,19 @@ def _rank_detail(framework: Framework, labelling: Labelling):
                     value = max(value, psi[other] + 1)
             elif name in undec:
                 if not undec_attackers[name]:
-                    return None, ("undec-unattacked", name), trace
+                    return None, ("undec-unattacked", name)
                 value = max(psi[name], min(psi[v] for v in undec_attackers[name]))
                 for other in in_targets[name]:
                     value = max(value, psi[other] + 1)
             else:
                 continue
             if value > bound:
-                return None, ("overflow", name), trace
+                return None, ("overflow", name)
             if value != psi[name]:
                 psi[name] = value
                 changed = True
-        trace.append(dict(psi))
         if not changed:
-            return psi, None, trace
+            return psi, None
     raise AssertionError("rank sweep bound exceeded")
 
 
@@ -229,8 +215,7 @@ def rank(framework: Framework, labelling: Labelling) -> dict[str, int] | None:
     minimum over its undec attackers. Requires a labelling without out
     arguments; values never exceed the argument count.
     """
-    psi, _, _ = _rank_detail(framework, labelling)
-    return psi
+    return _rank_detail(framework, labelling)[0]
 
 
 def is_valid_ranking(framework: Framework, labelling: Labelling, psi) -> bool:
@@ -274,7 +259,7 @@ def decide_ex4(framework: Framework, labelling: Labelling) -> Decision:
             )
     keep = framework.arguments - out_args
     core = framework.restrict(keep)
-    psi, failure, _ = _rank_detail(core, labelling.restrict(keep))
+    psi, failure = _rank_detail(core, labelling.restrict(keep))
     if psi is None:
         kind, argument = failure
         detail = (
@@ -283,10 +268,7 @@ def decide_ex4(framework: Framework, labelling: Labelling) -> Decision:
             else "rank value exceeded the argument count"
         )
         return Decision(False, 4, certificate=Certificate(2, (argument,), detail))
-    bits = {(src, dst): 0 if psi[src] > psi[dst] else 1 for src, dst in core.attacks}
-    _discharge_out_attacks(framework, labelling, bits)
-    order = pref_fn_to_order(framework, PreferenceFunction(bits))
-    return Decision(True, 4, witness=order)
+    return Decision(True, 4, witness=_witness(framework, labelling, psi))
 
 
 DECIDERS = {1: decide_ex1, 2: decide_ex2, 3: decide_ex3, 4: decide_ex4}

@@ -229,11 +229,30 @@ def test_result_round_trip_random_decisions():
         '{"verdict": "yes", "reduction": 1, "witness": 5}',
         '{"verdict": "yes", "reduction": 1, "witness": [5]}',
         '{"verdict": "yes", "reduction": 1, "witness": [["a"], ["a"]]}',
+        '{"verdict": "yes", "reduction": 1, "witness": ["ab", "c"]}',
+        '{"verdict": "yes", "reduction": 1, "witness": [["a", 5]]}',
+        '{"verdict": "no", "reduction": 1, "certificate": {"condition": "x", "witness": ["a"]}}',
+        '{"verdict": "no", "reduction": 1, "certificate": {"condition": 1.0, "witness": ["a"]}}',
+        '{"verdict": "no", "reduction": 1, "certificate": {"condition": true, "witness": ["a"]}}',
+        '{"verdict": "no", "reduction": 1, "certificate": {"condition": 1, "witness": [1]}}',
+        '{"verdict": "no", "reduction": 1, "certificate": {"condition": 1}}',
     ],
 )
 def test_parse_result_malformed_witness_or_certificate(text):
     with pytest.raises(ParseError, match="malformed witness or certificate"):
         parse_result(text)
+
+
+@pytest.mark.parametrize("verdict", ['"maybe"', '"YES"', "true", "1", "null"])
+def test_parse_result_rejects_unknown_verdicts(verdict):
+    with pytest.raises(ParseError, match="verdict"):
+        parse_result(f'{{"verdict": {verdict}, "reduction": 1}}')
+
+
+@pytest.mark.parametrize("reduction", ["0", "5", "9", "true", "false", "1.0", '"1"', "null"])
+def test_parse_result_rejects_reductions_outside_one_to_four(reduction):
+    with pytest.raises(ParseError, match="reduction"):
+        parse_result(f'{{"verdict": "no", "reduction": {reduction}}}')
 
 
 def test_parse_result_ignores_timing():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,7 +20,6 @@ from prefarg import (
     rank,
     verify_witness,
 )
-from prefarg.solvers import _rank_detail
 
 L1 = Labelling(undec_args="ab")
 L2 = Labelling(in_args="b", out_args="a")
@@ -146,6 +146,31 @@ def test_cyclic_core_blocks_give_verified_witnesses(shape, reduction):
     assert verify_witness(fw, lab, reduction, decision.witness)
 
 
+# --- reduction 3 on acyclic undec blocks ----------------------------------
+
+ACYCLIC_SHAPES = {
+    "path": [("a", "b"), ("b", "c"), ("c", "d")],
+    "fan_in": [("a", "d"), ("b", "d"), ("c", "d")],
+    "fan_out": [("d", "a"), ("d", "b"), ("d", "c")],
+    "diamond": [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ACYCLIC_SHAPES))
+def test_acyclic_undec_blocks_need_weak_removal(shape):
+    attacks = ACYCLIC_SHAPES[shape]
+    fw = Framework("abcd", attacks)
+    lab = Labelling(undec_args="abcd")
+    assert not is_complete(fw, lab)
+    decision = decide_ex3(fw, lab)
+    assert decision.yes
+    assert verify_witness(fw, lab, 3, decision.witness)
+    refused = decide_ex1(fw, lab)
+    assert not refused.yes
+    assert refused.certificate.condition == 3
+    assert refused.certificate.witness == ("a", "b", "c", "d")
+
+
 # --- rank ------------------------------------------------------------------
 
 
@@ -175,11 +200,45 @@ def test_rank_rejects_out_labels():
         rank(fw, Labelling(in_args="b", out_args="a"))
 
 
-def test_rank_values_never_decrease_across_sweeps(rank_figure, rank_figure_labelling):
-    _, _, trace = _rank_detail(rank_figure, rank_figure_labelling)
-    for before, after in zip(trace, trace[1:]):
-        for name, value in before.items():
-            assert after[name] >= value
+def _in_undec_labellings(fw):
+    names = sorted(fw.arguments)
+    for undec in itertools.product((False, True), repeat=len(names)):
+        yield Labelling.from_map({a: "undec" if u else "in" for a, u in zip(names, undec)})
+
+
+def _valid_rankings(fw, lab):
+    """Every ranking in {0..n}^n, checked against the two conditions directly."""
+    names = sorted(fw.arguments)
+    at = {a: i for i, a in enumerate(names)}
+    strict = [(at[s], at[t]) for s, t in fw.attacks if s in lab.in_args or t in lab.in_args]
+    undec = [
+        (at[u], [at[v] for v in lab.undec_args if (v, u) in fw.attacks])
+        for u in lab.undec_args
+    ]
+    if not all(attackers for _, attackers in undec):
+        return
+    for psi in itertools.product(range(len(names) + 1), repeat=len(names)):
+        if all(psi[s] > psi[t] for s, t in strict) and all(
+            psi[u] >= min(psi[v] for v in attackers) for u, attackers in undec
+        ):
+            yield dict(zip(names, psi))
+
+
+def test_rank_is_the_least_valid_ranking():
+    """None exactly when no ranking exists, else pointwise below every ranking."""
+    frameworks = [fw for size in range(4) for fw in all_frameworks(("a", "b", "c")[:size])]
+    rng = random.Random(56)
+    frameworks += [random_framework(rng, 4, rng.random() * 0.6) for _ in range(20)]
+    several = 0
+    for fw in frameworks:
+        for lab in _in_undec_labellings(fw):
+            valid = list(_valid_rankings(fw, lab))
+            least = rank(fw, lab)
+            assert (least is None) == (not valid)
+            for psi in valid:
+                assert all(least[a] <= psi[a] for a in psi)
+            several += len(valid) > 1
+    assert several > 500
 
 
 def test_rank_output_satisfies_ranking_conditions():
@@ -228,6 +287,37 @@ def test_ex4_removes_an_attack_between_in_arguments():
     decision = decide_ex4(fw, labelling)
     assert decision.yes
     assert verify_witness(fw, labelling, 4, decision.witness)
+
+
+# Out arguments o, p both attack and are attacked by in arguments that sit
+# above rank 0, so the witness must put them below every rank value.
+OUT_SHAPES = {
+    "chain": ([("a", "b"), ("a", "o"), ("o", "a")], "ab", "", "o"),
+    "two_outs": (
+        [("a", "b"), ("b", "c"), ("a", "o"), ("o", "b"), ("b", "p"), ("p", "a"), ("o", "p")],
+        "abc",
+        "",
+        "op",
+    ),
+    "with_undec": (
+        [("a", "b"), ("u", "v"), ("v", "u"), ("a", "u"), ("a", "o"), ("o", "a"), ("u", "o")],
+        "ab",
+        "uv",
+        "o",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(OUT_SHAPES))
+def test_ex4_out_arguments_between_in_arguments(shape):
+    attacks, in_args, undec_args, out_args = OUT_SHAPES[shape]
+    fw = Framework(in_args + undec_args + out_args, attacks)
+    lab = Labelling(in_args=in_args, undec_args=undec_args, out_args=out_args)
+    assert not is_complete(fw, lab)
+    decision = decide_ex4(fw, lab)
+    assert decision.yes
+    assert verify_witness(fw, lab, 4, decision.witness)
+    assert brute_force_ex(fw, lab, 4)[0]
 
 
 # --- verify_witness --------------------------------------------------------
