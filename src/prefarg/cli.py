@@ -27,7 +27,7 @@ from .io_formats import (
 )
 from .oracle import DEFAULT_COMPONENT_CAP, brute_force_ex
 from .reductions import reduce as apply_reduction
-from .semantics import DEFAULT_LABELLING_CAP, Labelling, enumerate_complete, require_total
+from .semantics import DEFAULT_LABELLING_CAP, Labelling, enumerate_complete
 from .solvers import Decision, decide, verify_witness
 
 SIZE_CAP_ENV = "PREFARG_SIZE_CAP"
@@ -60,9 +60,7 @@ def _read(path: str) -> str:
 
 def _load_instance(framework_path: str, labelling_path: str):
     framework = parse_apx(_read(framework_path))
-    labelling = parse_labelling(_read(labelling_path))
-    require_total(framework, labelling)
-    return framework, labelling
+    return framework, parse_labelling(_read(labelling_path))
 
 
 def _reduction_list(value: str) -> list[int]:
@@ -107,7 +105,11 @@ def _cmd_decide(args, verified: bool) -> int:
 
 
 def _run_batch(args, verified: bool) -> int:
-    """Directory mode: instances paired by stem, one JSON line per verdict."""
+    """Directory mode: instances paired by stem, one JSON line per verdict.
+
+    A pair that cannot be read or decided gets one error line instead, the
+    batch goes on, and the run ends with exit 2.
+    """
     framework_dir, labelling_dir = Path(args.framework), Path(args.labelling)
     if not (framework_dir.is_dir() and labelling_dir.is_dir()):
         raise PrefargError("batch mode needs both --framework and --labelling directories")
@@ -118,13 +120,22 @@ def _run_batch(args, verified: bool) -> int:
         raise PrefargError("no instances paired by filename stem")
     for stem in sorted(set(frameworks) ^ set(labellings)):
         print(f"warning: unpaired instance {stem!r} skipped", file=sys.stderr)
+    failed = False
     for stem in stems:
-        framework, labelling = _load_instance(str(frameworks[stem]), str(labellings[stem]))
-        for reduction in _reduction_list(args.reduction):
-            decision = _decide_one(framework, labelling, reduction, verified)
+        try:
+            framework, labelling = _load_instance(str(frameworks[stem]), str(labellings[stem]))
+            decisions = [
+                _decide_one(framework, labelling, reduction, verified)
+                for reduction in _reduction_list(args.reduction)
+            ]
+        except (PrefargError, OSError) as exc:
+            failed = True
+            print(json.dumps({"instance": stem, "error": str(exc)}))
+            continue
+        for decision in decisions:
             payload = {"instance": stem, **json.loads(emit_result(decision, fmt="json"))}
             print(json.dumps(payload))
-    return EXIT_YES
+    return EXIT_INPUT_ERROR if failed else EXIT_YES
 
 
 def _cmd_reduce(args) -> int:

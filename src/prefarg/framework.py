@@ -31,31 +31,41 @@ class Framework:
         for name in args:
             if not isinstance(name, str) or not NAME_PATTERN.match(name):
                 raise ValueError(f"bad argument name: {name!r}")
-        for src, dst in atts:
-            if src not in args or dst not in args:
-                raise UnknownArgumentError(
-                    f"attack ({src},{dst}) references an unknown argument"
-                )
         object.__setattr__(self, "arguments", args)
         object.__setattr__(self, "attacks", atts)
+        try:
+            self._index(args, atts)
+        except KeyError:
+            src, dst = min(
+                ((s, d) for s, d in atts if s not in args or d not in args),
+                key=lambda att: (str(att[0]), str(att[1])),
+            )
+            raise UnknownArgumentError(
+                f"attack ({src},{dst}) references an unknown argument"
+            ) from None
+
+    @classmethod
+    def _derived(cls, arguments: frozenset[str], attacks: frozenset[Attack]) -> "Framework":
+        """A framework over checked names and endpoints, indexed without re-checking."""
+        framework = cls.__new__(cls)
+        object.__setattr__(framework, "arguments", arguments)
+        object.__setattr__(framework, "attacks", attacks)
+        framework._index(arguments, attacks)
+        return framework
+
+    def _index(self, args: frozenset[str], atts: frozenset[Attack]) -> None:
+        """Fill the attacker and target tables in one pass; KeyError on an unknown endpoint."""
+        attackers: dict[str, set[str]] = {a: set() for a in args}
+        targets: dict[str, set[str]] = {a: set() for a in args}
+        for src, dst in atts:
+            attackers[dst].add(src)
+            targets[src].add(dst)
+        object.__setattr__(self, "_attackers", {a: frozenset(v) for a, v in attackers.items()})
+        object.__setattr__(self, "_targets", {a: frozenset(v) for a, v in targets.items()})
 
     def _require(self, name: str) -> None:
         if name not in self.arguments:
             raise UnknownArgumentError(f"unknown argument: {name!r}")
-
-    @cached_property
-    def _attackers(self) -> dict[str, frozenset[str]]:
-        table: dict[str, set[str]] = {a: set() for a in self.arguments}
-        for src, dst in self.attacks:
-            table[dst].add(src)
-        return {a: frozenset(v) for a, v in table.items()}
-
-    @cached_property
-    def _targets(self) -> dict[str, frozenset[str]]:
-        table: dict[str, set[str]] = {a: set() for a in self.arguments}
-        for src, dst in self.attacks:
-            table[src].add(dst)
-        return {a: frozenset(v) for a, v in table.items()}
 
     def attackers(self, name: str) -> frozenset[str]:
         """All direct attackers of the given argument."""
@@ -68,17 +78,8 @@ class Framework:
         return self._targets[name]
 
     @cached_property
-    def _neighbours(self) -> dict[str, set[str]]:
-        """Undirected adjacency: the attackers and targets of each argument."""
-        table: dict[str, set[str]] = {a: set() for a in self.arguments}
-        for src, dst in self.attacks:
-            table[src].add(dst)
-            table[dst].add(src)
-        return table
-
-    @cached_property
     def _components(self) -> tuple[frozenset[str], ...]:
-        neighbours = self._neighbours
+        attackers, targets = self._attackers, self._targets
         seen: set[str] = set()
         components = []
         for start in sorted(self.arguments):
@@ -89,7 +90,7 @@ class Framework:
             queue = deque([start])
             while queue:
                 node = queue.popleft()
-                for other in neighbours[node]:
+                for other in attackers[node] | targets[node]:
                     if other not in seen:
                         seen.add(other)
                         block.add(other)
@@ -116,8 +117,8 @@ class Framework:
         keep = frozenset(subset)
         for name in keep:
             self._require(name)
-        return Framework(
-            keep, {(s, t) for s, t in self.attacks if s in keep and t in keep}
+        return Framework._derived(
+            keep, frozenset((s, t) for s, t in self.attacks if s in keep and t in keep)
         )
 
     def _cyclic_core(self) -> frozenset[str]:

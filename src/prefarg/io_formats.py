@@ -8,7 +8,7 @@ import json
 import re
 from typing import Iterable
 
-from .errors import InvalidOrderError, ParseError, UnknownArgumentError
+from .errors import InvalidOrderError, ParseError
 from .framework import NAME_PATTERN, Attack, Framework
 from .preferences import PreferenceFunction, PreferenceOrder, validate_order
 from .reductions import REDUCTIONS
@@ -45,11 +45,6 @@ def parse_apx(text: str) -> Framework:
                 pos = match.end()
                 continue
             raise ParseError(f"unrecognised content: {line[pos:pos + 40]!r}", line=lineno)
-    for src, dst in sorted(atts):
-        if src not in args or dst not in args:
-            raise UnknownArgumentError(
-                f"attack ({src},{dst}) references an undeclared argument"
-            )
     return Framework(args, atts)
 
 
@@ -241,5 +236,12 @@ def parse_result(text: str) -> Decision:
         if not isinstance(cert, dict) or type(cert.get("condition")) is not int:
             raise ParseError(bad + "certificate must be an object with an integer condition")
         names = _names(cert.get("witness"), bad + "certificate witness")
-        certificate = Certificate(cert["condition"], tuple(names), cert.get("detail", ""))
+        detail = cert.get("detail", "")
+        if not isinstance(detail, str):
+            raise ParseError(bad + "certificate detail must be a string")
+        certificate = Certificate(cert["condition"], tuple(names), detail)
+    if verdict == "yes" and (order is None or certificate is not None):
+        raise ParseError(bad + 'a "yes" result needs a witness and no certificate')
+    if verdict == "no" and order is not None:
+        raise ParseError(bad + 'a "no" result has no witness')
     return Decision(verdict == "yes", reduction, order, certificate)

@@ -54,10 +54,6 @@ class PreferenceOrder:
                 f"argument {name!r} is not covered by the order"
             ) from None
 
-    def leq(self, a: str, b: str) -> bool:
-        """a is at most as preferred as b (same-component pairs only)."""
-        return self.rank(a) <= self.rank(b)
-
     def lt(self, a: str, b: str) -> bool:
         """a is strictly less preferred than b (same-component pairs only)."""
         return self.rank(a) < self.rank(b)
@@ -89,12 +85,6 @@ class PreferenceFunction:
                 raise ValueError(f"bit for attack ({src},{dst}) must be 0 or 1")
             clean[(src, dst)] = int(bit)
         object.__setattr__(self, "bits", clean)
-
-    def bit(self, attack: Attack) -> int:
-        try:
-            return self.bits[attack]
-        except KeyError:
-            raise DomainMismatchError(f"no bit assigned to attack {attack}") from None
 
     @property
     def zero_attacks(self) -> frozenset[Attack]:

@@ -34,7 +34,7 @@ def _defeat_graph(framework: Framework, down, index: int) -> Framework:
         kept |= {(dst, src) for src, dst in down}
     if index in (2, 3):
         kept |= {(src, dst) for src, dst in down if (dst, src) not in attacks}
-    return Framework(framework.arguments, kept)
+    return Framework._derived(framework.arguments, kept)
 
 
 def reduce(framework: Framework, order: PreferenceOrder, index: int) -> Framework:

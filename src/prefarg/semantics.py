@@ -61,9 +61,6 @@ class Labelling:
     def arguments(self) -> frozenset[str]:
         return self.in_args | self.out_args | self.undec_args
 
-    def as_map(self) -> dict[str, str]:
-        return dict(self._label_of)
-
     def restrict(self, keep: Iterable[str]) -> "Labelling":
         keep_set = frozenset(keep)
         return Labelling(

@@ -57,31 +57,21 @@ def _conditions_1_2(framework: Framework, labelling: Labelling) -> Certificate |
     return None
 
 
-def _undec_blocks(framework: Framework, undec: frozenset[str]) -> list[Framework]:
-    """Components of the undec subframework, its attacks split in one pass."""
-    undec_part = framework.restrict(undec)
-    components = undec_part.connected_components()
-    component_of = undec_part._component_of
-    attacks: list[list] = [[] for _ in components]
-    for src, dst in undec_part.attacks:
-        attacks[component_of[src]].append((src, dst))
-    return [Framework(block, atts) for block, atts in zip(components, attacks)]
-
-
 def _layer(sub: Framework, seed, depth: dict) -> None:
-    """Write the undirected BFS layers of a connected block into `depth`.
+    """Write the undirected BFS layers of `sub` into `depth`.
 
-    Layers start at 0 on the seed arguments, and an attack from a deeper
-    layer runs down. Seeded with a cyclic core, every core argument keeps an
-    attacker inside the core; every other argument keeps one on the layer
-    above it, directly or, under reductions 1 and 3, by reflection.
+    Layers start at 0 on the seed arguments, one or more in each component,
+    and an attack from a deeper layer runs down. Seeded with a cyclic core,
+    every core argument keeps an attacker inside the core; every other
+    argument keeps one on the layer above it, directly or, under reductions
+    1 and 3, by reflection.
     """
-    neighbours = sub._neighbours
+    attackers, targets = sub._attackers, sub._targets
     depth.update(dict.fromkeys(seed, 0))
     queue = deque(seed)
     while queue:
         node = queue.popleft()
-        for nxt in neighbours[node]:
+        for nxt in attackers[node] | targets[node]:
             if nxt not in depth:
                 depth[nxt] = depth[node] + 1
                 queue.append(nxt)
@@ -108,30 +98,24 @@ def decide_ex1(framework: Framework, labelling: Labelling) -> Decision:
     than undec-undec pairs, every out argument has an in neighbour, and
     every component of the undec subframework contains a cycle.
     """
-    require_total(framework, labelling)
     if completeness_violation(framework, labelling) is None:
         return _trivial_yes(framework, 1)
     failed = _conditions_1_2(framework, labelling)
     if failed is not None:
         return Decision(False, 1, certificate=failed)
+    undec = framework.restrict(labelling.undec_args)
+    core = undec._cyclic_core()
+    for block in undec.connected_components():
+        if block.isdisjoint(core):
+            detail = "undec component without a cycle"
+            return Decision(False, 1, certificate=Certificate(3, tuple(sorted(block)), detail))
     depth = dict.fromkeys(labelling.in_args, 0)
-    for sub in _undec_blocks(framework, labelling.undec_args):
-        core = sub._cyclic_core()
-        if not core:
-            return Decision(
-                False,
-                1,
-                certificate=Certificate(
-                    3, tuple(sorted(sub.arguments)), "undec component without a cycle"
-                ),
-            )
-        _layer(sub, core, depth)
+    _layer(undec, core, depth)
     return Decision(True, 1, witness=_witness(framework, labelling, depth))
 
 
 def decide_ex2(framework: Framework, labelling: Labelling) -> Decision:
     """Inverse problem under reduction 2: positive iff already complete."""
-    require_total(framework, labelling)
     violation = completeness_violation(framework, labelling)
     if violation is None:
         return _trivial_yes(framework, 2)
@@ -148,21 +132,27 @@ def decide_ex3(framework: Framework, labelling: Labelling) -> Decision:
     Conditions 1 and 2 are as for reduction 1; condition 3 relaxes to
     requiring an undec neighbour for every undec argument.
     """
-    require_total(framework, labelling)
     if completeness_violation(framework, labelling) is None:
         return _trivial_yes(framework, 3)
     failed = _conditions_1_2(framework, labelling)
     if failed is not None:
         return Decision(False, 3, certificate=failed)
-    depth = dict.fromkeys(labelling.in_args, 0)
-    for sub in _undec_blocks(framework, labelling.undec_args):
-        if not sub.attacks:
-            # Blocks come ordered by least name, so this is the least isolated argument.
-            detail = "undec argument isolated among undec arguments"
-            return Decision(False, 3, certificate=Certificate(3, tuple(sub.arguments), detail))
+    undec = framework.restrict(labelling.undec_args)
+    core = undec._cyclic_core()
+    seeds = set(core)
+    for block in undec.connected_components():
+        if not block.isdisjoint(core):
+            continue
         # Without a cycle, layer from the target d of the least attack (s, d):
         # s lands on layer 1, so that attack runs down and becomes mutual.
-        _layer(sub, sub._cyclic_core() or {min(sub.attacks)[1]}, depth)
+        least = min(((s, d) for s in block for d in undec._targets[s]), default=None)
+        if least is None:
+            # Blocks come ordered by least name, so this is the least isolated argument.
+            detail = "undec argument isolated among undec arguments"
+            return Decision(False, 3, certificate=Certificate(3, tuple(block), detail))
+        seeds.add(least[1])
+    depth = dict.fromkeys(labelling.in_args, 0)
+    _layer(undec, seeds, depth)
     return Decision(True, 3, witness=_witness(framework, labelling, depth))
 
 
@@ -178,9 +168,9 @@ def _rank_detail(framework: Framework, labelling: Labelling):
     names = sorted(framework.arguments)
     bound = len(names)
     in_args, undec = labelling.in_args, labelling.undec_args
-    targets = {u: sorted(framework.targets(u)) for u in names}
-    undec_attackers = {u: sorted(framework.attackers(u) & undec) for u in names}
-    in_targets = {u: [v for v in targets[u] if v in in_args] for u in names}
+    targets = framework._targets
+    undec_attackers = {u: framework._attackers[u] & undec for u in undec}
+    in_targets = {u: targets[u] & in_args for u in undec}
     psi = {u: 0 for u in names}
     for _ in range((bound + 2) ** 2):
         changed = False
@@ -246,7 +236,6 @@ def decide_ex4(framework: Framework, labelling: Labelling) -> Decision:
     a ranking yields the witness by dropping every attack that runs strictly
     downhill.
     """
-    require_total(framework, labelling)
     if completeness_violation(framework, labelling) is None:
         return _trivial_yes(framework, 4)
     in_args, out_args = labelling.in_args, labelling.out_args

@@ -125,3 +125,15 @@ def reference_reduce(framework: Framework, order: PreferenceOrder, index: int) -
     }[index]
     names = sorted(framework.arguments)
     return Framework(names, [(a, b) for a in names for b in names if member(a, b)])
+
+
+def assert_indexed_like_a_checked_build(graph: Framework) -> None:
+    """The graph's index agrees with its attack set and with a fresh checked build."""
+    fresh = Framework(graph.arguments, graph.attacks)
+    assert graph == fresh
+    for name in graph.arguments:
+        assert graph.attackers(name) == {s for s, t in graph.attacks if t == name}
+        assert graph.targets(name) == {t for s, t in graph.attacks if s == name}
+        assert graph.attackers(name) == fresh.attackers(name)
+        assert graph.targets(name) == fresh.targets(name)
+    assert graph.connected_components() == fresh.connected_components()

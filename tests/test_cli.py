@@ -279,6 +279,25 @@ def test_batch_mode_pairs_by_stem(tmp_path, capsys):
     assert "orphan" in captured.err
 
 
+def test_batch_mode_reports_a_bad_pair_and_goes_on(tmp_path, capsys):
+    fdir = tmp_path / "frameworks"
+    ldir = tmp_path / "labellings"
+    fdir.mkdir()
+    ldir.mkdir()
+    (fdir / "bad.apx").write_text("arg(a). this is not APX\n")
+    (ldir / "bad.json").write_text(L1_JSON)
+    (fdir / "good.apx").write_text(TWO_ARG_APX)
+    (ldir / "good.json").write_text(L2_JSON)
+    code = main(["solve", "--framework", str(fdir), "--labelling", str(ldir), "--reduction", "1"])
+    lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+    assert code == 2
+    assert len(lines) == 2
+    assert lines[0]["instance"] == "bad"
+    assert "unrecognised content" in lines[0]["error"]
+    assert lines[1]["instance"] == "good"
+    assert lines[1]["verdict"] == "yes"
+
+
 def test_exhaustive_small_cli_agreement(tmp_path, capsys):
     # decide and oracle must agree cell by cell on a small instance matrix
     fw = write(tmp_path, "fw.apx", TWO_ARG_APX)

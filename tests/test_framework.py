@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from conftest import random_framework
-from prefarg import Framework, UnknownArgumentError
+from conftest import assert_indexed_like_a_checked_build, random_framework
+from prefarg import Framework, UnknownArgumentError, parse_apx
 
 
 def test_attackers_example1(example1):
@@ -122,3 +122,28 @@ def test_restriction_properties():
             assert fw.has_cycle()
         for name in subset:
             assert sub.attackers(name) == fw.attackers(name) & subset
+
+
+def test_restrict_indexes_like_a_checked_build():
+    rng = random.Random(13)
+    for _ in range(80):
+        fw = random_framework(rng, rng.randrange(0, 9), rng.random() * 0.6)
+        sub = fw.restrict({a for a in fw.arguments if rng.random() < 0.6})
+        assert_indexed_like_a_checked_build(sub)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unknown_endpoints_name_the_least_attack(seed):
+    attacks = [("z", "a"), ("b", "y"), ("a", "x"), ("a", "b")]
+    random.Random(seed).shuffle(attacks)
+    with pytest.raises(UnknownArgumentError, match=r"\(a,x\)"):
+        Framework("ab", attacks)
+    apx = "arg(a). arg(b).\n" + "".join(f"att({s},{t}).\n" for s, t in attacks)
+    with pytest.raises(UnknownArgumentError, match=r"\(a,x\)"):
+        parse_apx(apx)
+
+
+@pytest.mark.parametrize("attacks", [[("a", 1)], [(None, "a")], [("a", 2), (1.5, "a")]])
+def test_non_string_endpoints_are_unknown_arguments(attacks):
+    with pytest.raises(UnknownArgumentError):
+        Framework("a", attacks)

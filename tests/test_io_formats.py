@@ -255,6 +255,33 @@ def test_parse_result_rejects_reductions_outside_one_to_four(reduction):
         parse_result(f'{{"verdict": "no", "reduction": {reduction}}}')
 
 
+CERT = '{"condition": 1, "witness": ["a"]}'
+NO = '{"verdict": "no", "reduction": 1, '
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        NO + '"certificate": {"condition": 1, "witness": ["a"], "detail": 5}}',
+        NO + '"certificate": {"condition": 1, "witness": ["a"], "detail": null}}',
+        '{"verdict": "yes", "reduction": 1}',
+        '{"verdict": "yes", "reduction": 1, "witness": null, "certificate": null}',
+        '{"verdict": "yes", "reduction": 1, "certificate": ' + CERT + "}",
+        '{"verdict": "yes", "reduction": 1, "witness": [["a"]], "certificate": ' + CERT + "}",
+        NO + '"witness": [["a"]]}',
+        NO + '"witness": [], "certificate": ' + CERT + "}",
+    ],
+)
+def test_parse_result_rejects_payloads_that_contradict_the_verdict(text):
+    with pytest.raises(ParseError, match="malformed witness or certificate"):
+        parse_result(text)
+
+
+def test_parse_result_accepts_a_no_without_certificate():
+    # `prefarg oracle` prints a negative verdict without a certificate.
+    assert parse_result('{"verdict": "no", "reduction": 2, "witness": null}') == Decision(False, 2)
+
+
 def test_parse_result_ignores_timing():
     decision = Decision(True, 3, witness=PreferenceOrder([("a",)]))
     text = emit_result(decision, elapsed_ms=12.5)

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from conftest import all_frameworks, random_framework, random_order, reference_reduce
+from conftest import (
+    all_frameworks,
+    assert_indexed_like_a_checked_build,
+    random_framework,
+    random_order,
+    reference_reduce,
+)
 from prefarg import (
     Framework,
     InvalidOrderError,
@@ -126,3 +132,14 @@ def test_reflection_keeps_both_sides_of_an_equivalent_mutual_pair():
     fw = Framework("ab", [("a", "b"), ("b", "a")])
     order = PreferenceOrder([("a", "b")])
     assert reduce(fw, order, 1).attacks == {("a", "b"), ("b", "a")}
+
+
+def test_reduced_graphs_index_like_a_checked_build():
+    rng = random.Random(45)
+    for _ in range(60):
+        fw = random_framework(rng, rng.randrange(0, 7), rng.random() * 0.6)
+        order = random_order(rng, fw)
+        fn = order_to_pref_fn(fw, order)
+        for index in (1, 2, 3, 4):
+            assert_indexed_like_a_checked_build(reduce(fw, order, index))
+            assert_indexed_like_a_checked_build(graph_from_pref_fn(fw, fn, index))

@@ -171,6 +171,53 @@ def test_acyclic_undec_blocks_need_weak_removal(shape):
     assert refused.certificate.witness == ("a", "b", "c", "d")
 
 
+# --- reductions 1 and 3 on undec parts of several blocks --------------------
+
+# Block shapes over local positions 0..2; each block gets fresh names.
+BLOCK_SHAPES = {
+    "cycle": (2, [(0, 1), (1, 0)]),
+    "three_cycle": (3, [(0, 1), (1, 2), (2, 0)]),
+    "self_attack": (1, [(0, 0)]),
+    "path": (3, [(0, 1), (1, 2)]),
+    "fan_in": (3, [(0, 2), (1, 2)]),
+    "isolated": (1, []),
+}
+CYCLIC_BLOCKS = {"cycle", "three_cycle", "self_attack"}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_several_undec_blocks_fail_at_the_least_block(seed):
+    rng = random.Random(seed)
+    shapes = [rng.choice(sorted(BLOCK_SHAPES)) for _ in range(rng.randrange(2, 5))]
+    pool = [f"u{i}" for i in range(12)]
+    rng.shuffle(pool)
+    blocks, attacks = [], [("o", "i")]
+    for shape in shapes:
+        size, edges = BLOCK_SHAPES[shape]
+        names = [pool.pop() for _ in range(size)]
+        blocks.append((shape, frozenset(names)))
+        attacks += [(names[s], names[t]) for s, t in edges]
+    undec = frozenset().union(*(block for _, block in blocks))
+    fw = Framework(undec | {"i", "o"}, attacks)
+    lab = Labelling(in_args="i", out_args="o", undec_args=undec)
+    # The out argument o has no in attacker, so the layering has to run.
+    assert not is_complete(fw, lab)
+    failing = {
+        1: [block for shape, block in blocks if shape not in CYCLIC_BLOCKS],
+        3: [block for shape, block in blocks if shape == "isolated"],
+    }
+    for reduction, bad in failing.items():
+        decision = decide(fw, lab, reduction)
+        if bad:
+            least = min(bad, key=min)
+            assert not decision.yes
+            assert decision.certificate.condition == 3
+            assert decision.certificate.witness == tuple(sorted(least))
+        else:
+            assert decision.yes
+            assert verify_witness(fw, lab, reduction, decision.witness)
+
+
 # --- rank ------------------------------------------------------------------
 
 
