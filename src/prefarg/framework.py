@@ -1,7 +1,6 @@
 """Immutable argumentation frameworks and the graph queries built on them."""
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -54,14 +53,17 @@ class Framework:
         return framework
 
     def _index(self, args: frozenset[str], atts: frozenset[Attack]) -> None:
-        """Fill the attacker and target tables in one pass; KeyError on an unknown endpoint."""
+        """Fill the attacker and target tables in one pass; KeyError on an unknown endpoint.
+
+        Nothing changes a table afterwards; the public getters hand out frozen copies.
+        """
         attackers: dict[str, set[str]] = {a: set() for a in args}
         targets: dict[str, set[str]] = {a: set() for a in args}
         for src, dst in atts:
             attackers[dst].add(src)
             targets[src].add(dst)
-        object.__setattr__(self, "_attackers", {a: frozenset(v) for a, v in attackers.items()})
-        object.__setattr__(self, "_targets", {a: frozenset(v) for a, v in targets.items()})
+        object.__setattr__(self, "_attackers", attackers)
+        object.__setattr__(self, "_targets", targets)
 
     def _require(self, name: str) -> None:
         if name not in self.arguments:
@@ -70,32 +72,38 @@ class Framework:
     def attackers(self, name: str) -> frozenset[str]:
         """All direct attackers of the given argument."""
         self._require(name)
-        return self._attackers[name]
+        return frozenset(self._attackers[name])
 
     def targets(self, name: str) -> frozenset[str]:
         """All arguments the given argument attacks."""
         self._require(name)
-        return self._targets[name]
+        return frozenset(self._targets[name])
+
+    def _layer(self, seeds: Iterable[str], depth: dict[str, int]) -> list[str]:
+        """Undirected BFS from the seeds; returns the arguments it reached, in order.
+
+        Writes depth 0 for the seeds and one more per undirected step into
+        `depth`, skipping arguments already in it. The depths do not depend
+        on the order of the seeds or of the queue.
+        """
+        attackers, targets = self._attackers, self._targets
+        queue = list(seeds)
+        depth.update(dict.fromkeys(queue, 0))
+        for node in queue:
+            below = depth[node] + 1
+            for other in attackers[node] | targets[node]:
+                if other not in depth:
+                    depth[other] = below
+                    queue.append(other)
+        return queue
 
     @cached_property
     def _components(self) -> tuple[frozenset[str], ...]:
-        attackers, targets = self._attackers, self._targets
-        seen: set[str] = set()
+        depth: dict[str, int] = {}
         components = []
         for start in sorted(self.arguments):
-            if start in seen:
-                continue
-            block = {start}
-            seen.add(start)
-            queue = deque([start])
-            while queue:
-                node = queue.popleft()
-                for other in attackers[node] | targets[node]:
-                    if other not in seen:
-                        seen.add(other)
-                        block.add(other)
-                        queue.append(other)
-            components.append(frozenset(block))
+            if start not in depth:
+                components.append(frozenset(self._layer((start,), depth)))
         return tuple(components)
 
     @cached_property

@@ -15,8 +15,9 @@ from .reductions import REDUCTIONS
 from .semantics import IN, OUT, UNDEC, Labelling
 from .solvers import Certificate, Decision
 
-_ARG_FACT = re.compile(r"arg\(\s*([A-Za-z0-9_]+)\s*\)\s*\.")
-_ATT_FACT = re.compile(r"att\(\s*([A-Za-z0-9_]+)\s*,\s*([A-Za-z0-9_]+)\s*\)\s*\.")
+_FACT = re.compile(
+    r"\s*(?:arg\(\s*([A-Za-z0-9_]+)\s*\)|att\(\s*([A-Za-z0-9_]+)\s*,\s*([A-Za-z0-9_]+)\s*\))\s*\."
+)
 
 
 def parse_apx(text: str) -> Framework:
@@ -30,21 +31,16 @@ def parse_apx(text: str) -> Framework:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("%", 1)[0]
         pos = 0
-        while pos < len(line):
-            if line[pos].isspace():
-                pos += 1
-                continue
-            match = _ARG_FACT.match(line, pos)
-            if match:
-                args.add(match.group(1))
-                pos = match.end()
-                continue
-            match = _ATT_FACT.match(line, pos)
-            if match:
-                atts.add((match.group(1), match.group(2)))
-                pos = match.end()
-                continue
-            raise ParseError(f"unrecognised content: {line[pos:pos + 40]!r}", line=lineno)
+        while match := _FACT.match(line, pos):
+            name, src, dst = match.groups()
+            if name is None:
+                atts.add((src, dst))
+            else:
+                args.add(name)
+            pos = match.end()
+        rest = line[pos:].lstrip()
+        if rest:
+            raise ParseError(f"unrecognised content: {rest[:40]!r}", line=lineno)
     return Framework(args, atts)
 
 

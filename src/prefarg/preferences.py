@@ -105,7 +105,11 @@ def _require_total_fn(framework: Framework, fn: PreferenceFunction) -> None:
 def _strongly_connected(
     nodes: Iterable[str], successors: Callable[[str], Iterable[str]]
 ) -> dict[str, int]:
-    """Iterative Tarjan; maps every node to a component id."""
+    """Iterative Tarjan; maps every node to a component id.
+
+    Components are numbered sinks first: every edge between two components
+    runs from a higher id to a lower one.
+    """
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
@@ -242,21 +246,11 @@ def pref_fn_to_order(framework: Framework, fn: PreferenceFunction) -> Preference
         elif component[src] != component[dst]:
             edge_strict.setdefault((component[dst], component[src]), False)
 
-    class_ids = set(component.values())
-    indegree = {c: 0 for c in class_ids}
-    out: dict[int, list[tuple[int, bool]]] = {c: [] for c in class_ids}
-    for (a, b), is_strict in edge_strict.items():
-        indegree[b] += 1
-        out[a].append((b, is_strict))
-    rank = {c: 0 for c in class_ids}
-    queue = deque(c for c in class_ids if indegree[c] == 0)
-    while queue:
-        cls = queue.popleft()
-        for nxt, is_strict in out[cls]:
-            rank[nxt] = max(rank[nxt], rank[cls] + (1 if is_strict else 0))
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                queue.append(nxt)
+    # Tarjan numbers walk-graph sinks first, so every condensed constraint
+    # edge (a, b) has a < b and ascending order settles each rank in one pass.
+    rank = dict.fromkeys(component.values(), 0)
+    for (a, b), is_strict in sorted(edge_strict.items()):
+        rank[b] = max(rank[b], rank[a] + is_strict)
 
     return order_by_depth(framework, {a: -rank[c] for a, c in component.items()})
 

@@ -1,7 +1,6 @@
 """Complete labellings: verification, the grounded fixpoint, and enumeration."""
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import DomainMismatchError, SizeLimitError, UnknownArgumentError
@@ -45,27 +44,17 @@ class Labelling:
             sets[label].add(name)
         return cls(sets[IN], sets[OUT], sets[UNDEC])
 
-    @cached_property
-    def _label_of(self) -> dict[str, str]:
-        table = {a: IN for a in self.in_args}
-        table.update((a, OUT) for a in self.out_args)
-        table.update((a, UNDEC) for a in self.undec_args)
-        return table
-
     def label(self, name: str) -> str:
-        try:
-            return self._label_of[name]
-        except KeyError:
-            raise UnknownArgumentError(f"argument {name!r} is not labelled") from None
+        if name in self.in_args:
+            return IN
+        if name in self.out_args:
+            return OUT
+        if name in self.undec_args:
+            return UNDEC
+        raise UnknownArgumentError(f"argument {name!r} is not labelled")
 
     def arguments(self) -> frozenset[str]:
         return self.in_args | self.out_args | self.undec_args
-
-    def restrict(self, keep: Iterable[str]) -> "Labelling":
-        keep_set = frozenset(keep)
-        return Labelling(
-            self.in_args & keep_set, self.out_args & keep_set, self.undec_args & keep_set
-        )
 
 
 @dataclass(frozen=True)
@@ -95,16 +84,18 @@ def completeness_violation(framework: Framework, labelling: Labelling) -> Violat
     Clause 3: an argument is undec exactly when neither of the above holds.
     """
     require_total(framework, labelling)
+    in_args, out_args = labelling.in_args, labelling.out_args
     for name in sorted(framework.arguments):
-        attackers = framework.attackers(name)
-        all_out = attackers <= labelling.out_args
-        some_in = bool(attackers & labelling.in_args)
-        label = labelling.label(name)
-        if label == IN and not all_out:
-            return Violation(name, 1, f"{name} is in but has a non-out attacker")
-        if label == OUT and not some_in:
-            return Violation(name, 2, f"{name} is out but has no in attacker")
-        if label == UNDEC and (all_out or some_in):
+        attackers = framework._attackers[name]
+        all_out = attackers <= out_args
+        some_in = bool(attackers & in_args)
+        if name in in_args:
+            if not all_out:
+                return Violation(name, 1, f"{name} is in but has a non-out attacker")
+        elif name in out_args:
+            if not some_in:
+                return Violation(name, 2, f"{name} is out but has no in attacker")
+        elif all_out or some_in:
             reason = "all attackers out" if all_out else "an in attacker"
             return Violation(name, 3, f"{name} is undec but has {reason}")
     return None
@@ -115,24 +106,24 @@ def is_complete(framework: Framework, labelling: Labelling) -> bool:
 
 
 def grounded_labelling(framework: Framework) -> Labelling:
-    """Least fixpoint: unattacked arguments in, their targets out, and so on."""
-    in_set: set[str] = set()
-    out_set: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for name in framework.arguments:
-            if name in in_set or name in out_set:
-                continue
-            attackers = framework.attackers(name)
-            if attackers <= out_set:
-                in_set.add(name)
-                changed = True
-            elif attackers & in_set:
-                out_set.add(name)
-                changed = True
-    undec = framework.arguments - in_set - out_set
-    return Labelling(in_set, out_set, undec)
+    """Least fixpoint: unattacked arguments in, their targets out, and so on.
+
+    One worklist pass (Modgil & Caminada 2009): `left` counts each argument's
+    attackers not yet out. An argument goes in when its count reaches 0, and
+    then its targets go out.
+    """
+    targets = framework._targets
+    left = {a: len(srcs) for a, srcs in framework._attackers.items()}
+    in_args = [a for a, count in left.items() if count == 0]
+    out_args: set[str] = set()
+    for name in in_args:
+        for beaten in targets[name] - out_args:
+            out_args.add(beaten)
+            for other in targets[beaten]:
+                left[other] -= 1
+                if left[other] == 0:
+                    in_args.append(other)
+    return Labelling(in_args, out_args, framework.arguments.difference(in_args, out_args))
 
 
 def enumerate_complete(
@@ -154,15 +145,15 @@ def enumerate_complete(
     assign.update((a, OUT) for a in grounded.out_args)
     free = sorted(framework.arguments - set(assign))
     results: list[Labelling] = []
+    attackers = framework._attackers
 
     def alive_around(name: str) -> bool:
         # Only the freshly assigned argument and its neighbours can newly fail.
-        affected = {name} | set(framework.targets(name)) | set(framework.attackers(name))
-        for node in affected:
+        for node in {name} | framework._targets[name] | attackers[name]:
             label = assign.get(node)
             if label is None:
                 continue
-            attacker_labels = [assign.get(b) for b in framework.attackers(node)]
+            attacker_labels = [assign.get(b) for b in attackers[node]]
             open_slots = any(lb is None for lb in attacker_labels)
             if label == IN:
                 if any(lb in (IN, UNDEC) for lb in attacker_labels):

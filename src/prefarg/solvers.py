@@ -7,7 +7,6 @@ answer carries a certificate naming the violated condition and a witnessing
 argument or attack.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import DomainMismatchError, InvalidOrderError
@@ -52,36 +51,20 @@ def _conditions_1_2(framework: Framework, labelling: Labelling) -> Certificate |
         if (src_in and dst_in) or (src_in and dst in undec) or (src in undec and dst_in):
             return Certificate(1, (src, dst), "attack between in/undec labelled arguments")
     for name in sorted(labelling.out_args):
-        if not ((framework.attackers(name) | framework.targets(name)) & in_args):
+        if not ((framework._attackers[name] | framework._targets[name]) & in_args):
             return Certificate(2, (name,), "out argument with no in-labelled neighbour")
     return None
-
-
-def _layer(sub: Framework, seed, depth: dict) -> None:
-    """Write the undirected BFS layers of `sub` into `depth`.
-
-    Layers start at 0 on the seed arguments, one or more in each component,
-    and an attack from a deeper layer runs down. Seeded with a cyclic core,
-    every core argument keeps an attacker inside the core; every other
-    argument keeps one on the layer above it, directly or, under reductions
-    1 and 3, by reflection.
-    """
-    attackers, targets = sub._attackers, sub._targets
-    depth.update(dict.fromkeys(seed, 0))
-    queue = deque(seed)
-    while queue:
-        node = queue.popleft()
-        for nxt in attackers[node] | targets[node]:
-            if nxt not in depth:
-                depth[nxt] = depth[node] + 1
-                queue.append(nxt)
 
 
 def _witness(framework: Framework, labelling: Labelling, depth: dict) -> PreferenceOrder:
     """The order of the in/undec depths, with every out argument below them all.
 
     Layers and rank values never exceed the argument count, so an attack
-    into an out argument is kept and one leaving it runs down.
+    into an out argument is kept and one leaving it runs down. Under
+    reductions 1 and 3 the in arguments sit on layer 0 and the undec ones
+    are layered from a cyclic core: every core argument keeps an attacker
+    inside the core, and every other argument keeps one on the layer above
+    it, directly or by reflection.
     """
     depth.update(dict.fromkeys(labelling.out_args, len(framework.arguments) + 1))
     return order_by_depth(framework, depth)
@@ -110,7 +93,7 @@ def decide_ex1(framework: Framework, labelling: Labelling) -> Decision:
             detail = "undec component without a cycle"
             return Decision(False, 1, certificate=Certificate(3, tuple(sorted(block)), detail))
     depth = dict.fromkeys(labelling.in_args, 0)
-    _layer(undec, core, depth)
+    undec._layer(core, depth)
     return Decision(True, 1, witness=_witness(framework, labelling, depth))
 
 
@@ -152,22 +135,19 @@ def decide_ex3(framework: Framework, labelling: Labelling) -> Decision:
             return Decision(False, 3, certificate=Certificate(3, tuple(block), detail))
         seeds.add(least[1])
     depth = dict.fromkeys(labelling.in_args, 0)
-    _layer(undec, seeds, depth)
+    undec._layer(seeds, depth)
     return Decision(True, 3, witness=_witness(framework, labelling, depth))
 
 
-def _rank_detail(framework: Framework, labelling: Labelling):
+def _rank_detail(framework: Framework, in_args: frozenset[str], undec: frozenset[str]):
     """Fixpoint sweeps computing a ranking, or the reason none exists.
 
-    Returns (psi, None) on success and (None, (kind, argument)) on failure,
-    where kind is "undec-unattacked" or "overflow".
+    The in and undec sets partition the framework's arguments. Returns
+    (psi, None) on success and (None, (kind, argument)) on failure, where
+    kind is "undec-unattacked" or "overflow".
     """
-    require_total(framework, labelling)
-    if labelling.out_args:
-        raise DomainMismatchError("ranking requires a labelling without out arguments")
     names = sorted(framework.arguments)
     bound = len(names)
-    in_args, undec = labelling.in_args, labelling.undec_args
     targets = framework._targets
     undec_attackers = {u: framework._attackers[u] & undec for u in undec}
     in_targets = {u: targets[u] & in_args for u in undec}
@@ -205,7 +185,10 @@ def rank(framework: Framework, labelling: Labelling) -> dict[str, int] | None:
     minimum over its undec attackers. Requires a labelling without out
     arguments; values never exceed the argument count.
     """
-    return _rank_detail(framework, labelling)[0]
+    require_total(framework, labelling)
+    if labelling.out_args:
+        raise DomainMismatchError("ranking requires a labelling without out arguments")
+    return _rank_detail(framework, labelling.in_args, labelling.undec_args)[0]
 
 
 def is_valid_ranking(framework: Framework, labelling: Labelling, psi) -> bool:
@@ -220,7 +203,7 @@ def is_valid_ranking(framework: Framework, labelling: Labelling, psi) -> bool:
         if (src in in_args or dst in in_args) and not psi[src] > psi[dst]:
             return False
     for name in undec:
-        attackers = framework.attackers(name) & undec
+        attackers = framework._attackers[name] & undec
         if not attackers:
             return False
         if psi[name] < min(psi[v] for v in attackers):
@@ -240,15 +223,14 @@ def decide_ex4(framework: Framework, labelling: Labelling) -> Decision:
         return _trivial_yes(framework, 4)
     in_args, out_args = labelling.in_args, labelling.out_args
     for name in sorted(out_args):
-        if not (framework.attackers(name) & in_args):
+        if not (framework._attackers[name] & in_args):
             return Decision(
                 False,
                 4,
                 certificate=Certificate(1, (name,), "out argument without an in-labelled attacker"),
             )
-    keep = framework.arguments - out_args
-    core = framework.restrict(keep)
-    psi, failure = _rank_detail(core, labelling.restrict(keep))
+    core = framework.restrict(framework.arguments - out_args)
+    psi, failure = _rank_detail(core, in_args, labelling.undec_args)
     if psi is None:
         kind, argument = failure
         detail = (

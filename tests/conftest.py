@@ -137,3 +137,26 @@ def assert_indexed_like_a_checked_build(graph: Framework) -> None:
         assert graph.attackers(name) == fresh.attackers(name)
         assert graph.targets(name) == fresh.targets(name)
     assert graph.connected_components() == fresh.connected_components()
+
+
+def reference_grounded(framework: Framework) -> Labelling:
+    """The grounded labelling by whole sweeps until nothing changes.
+
+    Independent of `prefarg.semantics`: every sweep labels in each argument
+    whose attackers are all out and labels out each argument with an in
+    attacker, reading the attackers off the attack set.
+    """
+    attackers = {a: {s for s, t in framework.attacks if t == a} for a in framework.arguments}
+    in_set: set[str] = set()
+    out_set: set[str] = set()
+    changed = True
+    while changed:
+        changed = False
+        for name in sorted(framework.arguments - in_set - out_set):
+            if attackers[name] <= out_set:
+                in_set.add(name)
+                changed = True
+            elif attackers[name] & in_set:
+                out_set.add(name)
+                changed = True
+    return Labelling(in_set, out_set, framework.arguments - in_set - out_set)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -352,3 +356,18 @@ def test_gen_refuses_args_above_the_cap_at_once(capsys):
         assert time.perf_counter() - started < 1.0
         assert code == 2
         assert f"cap of {GEN_ARGS_CAP}" in capsys.readouterr().err
+
+
+def test_module_entry_point_decides(tmp_path, two_arg_file):
+    lab = write(tmp_path, "l2.json", L2_JSON)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "prefarg.cli", "decide", "--framework", str(two_arg_file),
+         "--labelling", str(lab), "--reduction", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    del result["elapsed_ms"]
+    assert result == {"verdict": "yes", "reduction": 1, "witness": [["a"], ["b"]], "certificate": None}

@@ -147,3 +147,47 @@ def test_unknown_endpoints_name_the_least_attack(seed):
 def test_non_string_endpoints_are_unknown_arguments(attacks):
     with pytest.raises(UnknownArgumentError):
         Framework("a", attacks)
+
+
+def test_getters_hand_out_frozen_copies_of_the_tables():
+    rng = random.Random(61)
+    for _ in range(30):
+        fw = random_framework(rng, rng.randrange(1, 8), rng.random() * 0.5)
+        for name in fw.arguments:
+            for got, table in ((fw.attackers(name), fw._attackers), (fw.targets(name), fw._targets)):
+                assert type(got) is frozenset
+                assert got == table[name]
+                assert got is not table[name]
+
+
+def undirected_distances(fw: Framework, seeds) -> dict[str, int]:
+    """Distances from the seed set along attacks in either direction, by relaxation."""
+    distance = dict.fromkeys(seeds, 0)
+    changed = True
+    while changed:
+        changed = False
+        for s, t in fw.attacks:
+            for a, b in ((s, t), (t, s)):
+                if a in distance and distance.get(b, len(fw.arguments)) > distance[a] + 1:
+                    distance[b] = distance[a] + 1
+                    changed = True
+    return distance
+
+
+def test_layer_returns_every_argument_it_reaches_by_depth():
+    rng = random.Random(62)
+    for _ in range(200):
+        fw = random_framework(rng, rng.randrange(1, 10), rng.random() * 0.3)
+        seeds = {a for a in fw.arguments if rng.random() < 0.3}
+        depth = {}
+        reached = fw._layer(seeds, depth)
+        assert depth == undirected_distances(fw, seeds)
+        assert sorted(reached) == sorted(depth)
+        assert [depth[a] for a in reached] == sorted(depth[a] for a in reached)
+
+
+def test_layer_skips_arguments_already_placed():
+    fw = Framework("abc", [("a", "b"), ("b", "c")])
+    depth = {"b": 0}
+    assert fw._layer(("a",), depth) == ["a"]
+    assert depth == {"a": 0, "b": 0}

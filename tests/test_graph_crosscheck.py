@@ -72,3 +72,11 @@ def test_cyclic_core_is_the_nontrivial_sccs_and_their_descendants():
         assert all(fw.attackers(a) & core for a in core)
         saw_partial |= bool(core) and core != fw.arguments
     assert saw_partial
+
+
+def test_strongly_connected_numbers_sinks_first():
+    for fw in random_frameworks(55):
+        successors = {a: sorted(fw.targets(a)) for a in fw.arguments}
+        component = _strongly_connected(sorted(fw.arguments), successors.__getitem__)
+        for src, dst in fw.attacks:
+            assert component[src] >= component[dst]

@@ -67,6 +67,18 @@ def test_parse_apx_whitespace_tolerant():
     assert parse_apx("arg( a ).\natt( a , a ).") == Framework("a", [("a", "a")])
 
 
+def test_parse_apx_names_the_junk_after_whitespace():
+    with pytest.raises(ParseError) as info:
+        parse_apx("arg(a).\narg(b). \t junk(b).\n")
+    assert info.value.line == 2
+    assert str(info.value) == "line 2: unrecognised content: 'junk(b).'"
+
+
+def test_parse_apx_unicode_spaces_separate_facts():
+    text = "arg(a).\u3000arg(b).\u00a0att(\u2003a ,b)\u3000."
+    assert parse_apx(text) == Framework("ab", [("a", "b")])
+
+
 def test_apx_round_trip_example1(example1):
     assert parse_apx(emit_apx(example1)) == example1
 

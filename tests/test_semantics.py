@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import random_framework
+from conftest import random_framework, reference_grounded
 from prefarg import (
     IN,
     OUT,
@@ -12,6 +12,7 @@ from prefarg import (
     Framework,
     Labelling,
     SizeLimitError,
+    UnknownArgumentError,
     completeness_violation,
     enumerate_complete,
     grounded_labelling,
@@ -153,3 +154,27 @@ def test_enumeration_output_is_sorted(example1):
         for l in enumerate_complete(example1)
     ]
     assert keys == sorted(keys)
+
+
+def test_label_answers_by_membership():
+    lab = Labelling(in_args="a", out_args="b", undec_args="c")
+    assert [lab.label(name) for name in "abc"] == [IN, OUT, UNDEC]
+    with pytest.raises(UnknownArgumentError):
+        lab.label("z")
+
+
+def test_grounded_matches_the_reference_sweep():
+    rng = random.Random(25)
+    for _ in range(400):
+        core = random_framework(rng, rng.randrange(0, 10), rng.random() * 0.4)
+        isolated = [f"y{i}" for i in range(rng.randrange(0, 3))]
+        fw = Framework(core.arguments | set(isolated), core.attacks)
+        assert as_triple(grounded_labelling(fw)) == as_triple(reference_grounded(fw))
+
+
+def test_grounded_settles_a_reversed_chain():
+    names = [f"x{i:03d}" for i in range(300)]
+    fw = Framework(names, list(zip(names[1:], names)))
+    grounded = grounded_labelling(fw)
+    assert grounded.in_args == frozenset(names[1::2])
+    assert grounded == reference_grounded(fw)

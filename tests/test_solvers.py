@@ -247,6 +247,12 @@ def test_rank_rejects_out_labels():
         rank(fw, Labelling(in_args="b", out_args="a"))
 
 
+@pytest.mark.parametrize("labelling", [Labelling(in_args="a"), Labelling(in_args="abc")])
+def test_rank_rejects_a_labelling_that_does_not_cover_the_framework(labelling):
+    with pytest.raises(DomainMismatchError):
+        rank(Framework("ab", [("a", "b")]), labelling)
+
+
 def _in_undec_labellings(fw):
     names = sorted(fw.arguments)
     for undec in itertools.product((False, True), repeat=len(names)):
