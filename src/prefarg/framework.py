@@ -3,7 +3,7 @@
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
 from .errors import UnknownArgumentError
 
@@ -129,20 +129,26 @@ class Framework:
             keep, frozenset((s, t) for s, t in self.attacks if s in keep and t in keep)
         )
 
-    def _cyclic_core(self) -> frozenset[str]:
+    def _cyclic_core(self, within: AbstractSet[str] | None = None) -> frozenset[str]:
         """What is left after repeatedly deleting arguments with no attacker left.
 
         Every argument left keeps an attacker that is also left, so the core
         is empty exactly when the attack graph is acyclic; self-attacks count.
+        Given `within`, the peel sees only the subgraph it induces.
         """
-        indegree = {a: len(srcs) for a, srcs in self._attackers.items()}
+        attackers = self._attackers
+        if within is None:
+            indegree = {a: len(srcs) for a, srcs in attackers.items()}
+        else:
+            indegree = {a: sum(s in within for s in attackers[a]) for a in within}
         queue = [a for a, count in indegree.items() if count == 0]
         for node in queue:
             del indegree[node]
             for other in self._targets[node]:
-                indegree[other] -= 1
-                if indegree[other] == 0:
-                    queue.append(other)
+                if other in indegree:
+                    indegree[other] -= 1
+                    if indegree[other] == 0:
+                        queue.append(other)
         return frozenset(indegree)
 
     def has_cycle(self) -> bool:

@@ -140,41 +140,78 @@ def decide_ex3(framework: Framework, labelling: Labelling) -> Decision:
 
 
 def _rank_detail(framework: Framework, in_args: frozenset[str], undec: frozenset[str]):
-    """Fixpoint sweeps computing a ranking, or the reason none exists.
+    """The least ranking of the in and undec arguments, or the reason none exists.
 
-    The in and undec sets partition the framework's arguments. Returns
-    (psi, None) on success and (None, (kind, argument)) on failure, where
-    kind is "undec-unattacked" or "overflow".
+    Every other argument of the framework is skipped. Returns (psi, None)
+    on success and (None, (kind, argument)) on failure: "undec-unattacked"
+    names the least undec argument without an undec attacker, "overflow"
+    the least argument with no finite value.
+
+    Values settle in increasing order, one level at a time (Knuth, *A
+    generalization of Dijkstra's algorithm*, 1977). An in argument settles
+    one level above its last in/undec target. An undec argument becomes
+    eligible one level above its last in target, or at 0 without one, and
+    settles at the first level from then on at which an undec attacker has
+    settled or it lies on or below a cycle of eligible, unsettled undec
+    arguments; such a cycle gets no finite derivation, so it is found by
+    peeling. A cycle new at a level passes through an argument that became
+    eligible there, so each level peels only the forward reach of those.
+    Linear in n + m when no eligible argument waits through several levels
+    (all-in chains among them); O(n * (n + m)) at worst.
     """
-    names = sorted(framework.arguments)
-    bound = len(names)
-    targets = framework._targets
-    undec_attackers = {u: framework._attackers[u] & undec for u in undec}
-    in_targets = {u: targets[u] & in_args for u in undec}
-    psi = {u: 0 for u in names}
-    for _ in range((bound + 2) ** 2):
-        changed = False
-        for name in names:
-            if name in in_args:
-                value = psi[name]
-                for other in targets[name]:
-                    value = max(value, psi[other] + 1)
-            elif name in undec:
-                if not undec_attackers[name]:
-                    return None, ("undec-unattacked", name)
-                value = max(psi[name], min(psi[v] for v in undec_attackers[name]))
-                for other in in_targets[name]:
-                    value = max(value, psi[other] + 1)
-            else:
-                continue
-            if value > bound:
-                return None, ("overflow", name)
-            if value != psi[name]:
-                psi[name] = value
-                changed = True
-        if not changed:
-            return psi, None
-    raise AssertionError("rank sweep bound exceeded")
+    attackers, targets = framework._attackers, framework._targets
+    unattacked = [u for u in undec if undec.isdisjoint(attackers[u])]
+    if unattacked:
+        return None, ("undec-unattacked", min(unattacked))
+    # Targets still to settle: in/undec ones for an in argument, in ones for an undec one.
+    waiting = {a: sum(t in in_args or t in undec for t in targets[a]) for a in in_args}
+    waiting.update((u, sum(t in in_args for t in targets[u])) for u in undec)
+    psi: dict[str, int] = {}
+    eligible: set[str] = set()  # undec, past its in targets, without a settled undec attacker
+    primed: set[str] = set()  # undec, with a settled undec attacker
+
+    def settle(queue: list[str], level: int, upcoming: list[str]) -> None:
+        for node in queue:
+            for other in attackers[node]:
+                if other in in_args or (other in undec and node in in_args):
+                    waiting[other] -= 1
+                    if waiting[other] == 0:
+                        upcoming.append(other)
+            if node in undec:
+                for other in targets[node]:
+                    if other in eligible:
+                        eligible.remove(other)
+                        psi[other] = level
+                        queue.append(other)
+                    elif other in undec:
+                        primed.add(other)
+
+    ready = [a for a, count in waiting.items() if count == 0]
+    level = 0
+    while ready:
+        upcoming: list[str] = []
+        queue = [a for a in ready if a in in_args or a in primed]
+        fresh = [u for u in ready if u not in in_args and u not in primed]
+        psi.update(dict.fromkeys(queue, level))
+        eligible.update(fresh)
+        settle(queue, level, upcoming)
+        reach = [u for u in fresh if u in eligible and not eligible.isdisjoint(attackers[u])]
+        if reach:
+            seen = set(reach)
+            for node in reach:
+                for other in targets[node]:
+                    if other in eligible and other not in seen:
+                        seen.add(other)
+                        reach.append(other)
+            core = list(framework._cyclic_core(seen))
+            eligible.difference_update(core)
+            psi.update(dict.fromkeys(core, level))
+            settle(core, level, upcoming)
+        ready = upcoming
+        level += 1
+    if len(psi) < len(waiting):
+        return None, ("overflow", min(a for a in waiting if a not in psi))
+    return psi, None
 
 
 def rank(framework: Framework, labelling: Labelling) -> dict[str, int] | None:
@@ -229,8 +266,7 @@ def decide_ex4(framework: Framework, labelling: Labelling) -> Decision:
                 4,
                 certificate=Certificate(1, (name,), "out argument without an in-labelled attacker"),
             )
-    core = framework.restrict(framework.arguments - out_args)
-    psi, failure = _rank_detail(core, in_args, labelling.undec_args)
+    psi, failure = _rank_detail(framework, in_args, labelling.undec_args)
     if psi is None:
         kind, argument = failure
         detail = (

@@ -160,3 +160,98 @@ def reference_grounded(framework: Framework) -> Labelling:
                 out_set.add(name)
                 changed = True
     return Labelling(in_set, out_set, framework.arguments - in_set - out_set)
+
+
+def reference_rank_detail(framework: Framework, in_args: frozenset[str], undec: frozenset[str]):
+    """Fixpoint sweeps computing a ranking, or the reason none exists.
+
+    The in and undec sets partition the framework's arguments. Returns
+    (psi, None) on success and (None, (kind, argument)) on failure, where
+    kind is "undec-unattacked" or "overflow".
+    """
+    names = sorted(framework.arguments)
+    bound = len(names)
+    targets = framework._targets
+    undec_attackers = {u: framework._attackers[u] & undec for u in undec}
+    in_targets = {u: targets[u] & in_args for u in undec}
+    psi = {u: 0 for u in names}
+    for _ in range((bound + 2) ** 2):
+        changed = False
+        for name in names:
+            if name in in_args:
+                value = psi[name]
+                for other in targets[name]:
+                    value = max(value, psi[other] + 1)
+            elif name in undec:
+                if not undec_attackers[name]:
+                    return None, ("undec-unattacked", name)
+                value = max(psi[name], min(psi[v] for v in undec_attackers[name]))
+                for other in in_targets[name]:
+                    value = max(value, psi[other] + 1)
+            else:
+                continue
+            if value > bound:
+                return None, ("overflow", name)
+            if value != psi[name]:
+                psi[name] = value
+                changed = True
+        if not changed:
+            return psi, None
+    raise AssertionError("rank sweep bound exceeded")
+
+
+def kleene_rank(framework: Framework, in_args, undec) -> dict[str, int]:
+    """Least ranking values of the in and undec arguments, n + 1 standing for none.
+
+    Independent of `prefarg.solvers`: out arguments are dropped, and every
+    round recomputes every value from the last round's, with no early exit,
+    for as many rounds as the capped values can rise in total. An in
+    argument's value exceeds each of its targets'; an undec argument's is at
+    least its in targets' plus one and the least of its undec attackers'.
+    """
+    kept = set(in_args) | set(undec)
+    names = sorted(kept)
+    cap = len(names) + 1
+    above = {a: [t for s, t in framework.attacks if s == a and t in kept] for a in names}
+    above.update(
+        {u: [t for s, t in framework.attacks if s == u and t in in_args] for u in undec}
+    )
+    floor = {u: [s for s, t in framework.attacks if t == u and s in undec] for u in undec}
+    psi = dict.fromkeys(names, 0)
+    for _ in range(len(names) * cap + 1):
+        last = psi
+        psi = {}
+        for name in names:
+            value = max([last[name]] + [last[t] + 1 for t in above[name]])
+            if name in floor:
+                value = max(value, min((last[v] for v in floor[name]), default=cap))
+            psi[name] = min(value, cap)
+    return psi
+
+
+def ex4_certificate_holds(framework: Framework, labelling: Labelling, certificate) -> bool:
+    """Whether a reduction-4 no certificate names what the graph alone shows.
+
+    Condition 1 names the least out argument without an in attacker.
+    Condition 2 names, when condition 1 holds, either the least undec
+    argument without an undec attacker or, when there is none, the least
+    argument that `kleene_rank` leaves without a value.
+    """
+    in_args, undec = labelling.in_args, labelling.undec_args
+    attackers = {a: {s for s, t in framework.attacks if t == a} for a in framework.arguments}
+
+    def least(names):
+        return (min(names),) if names else None
+
+    orphans = [a for a in labelling.out_args if not attackers[a] & in_args]
+    if certificate.condition == 1:
+        return certificate.witness == least(orphans)
+    if orphans or certificate.condition != 2:
+        return False
+    unattacked = [u for u in undec if not attackers[u] & undec]
+    if certificate.detail == "undec argument without an undec attacker":
+        return certificate.witness == least(unattacked)
+    if unattacked or certificate.detail != "rank value exceeded the argument count":
+        return False
+    psi = kleene_rank(framework, in_args, undec)
+    return certificate.witness == least([a for a, value in psi.items() if value > len(psi)])

@@ -1,9 +1,17 @@
+import collections
 import itertools
 import random
 
 import pytest
 
-from conftest import all_frameworks, all_labellings, random_framework, random_labelling
+from conftest import (
+    all_frameworks,
+    all_labellings,
+    ex4_certificate_holds,
+    random_framework,
+    random_labelling,
+    reference_rank_detail,
+)
 from prefarg import (
     DomainMismatchError,
     Framework,
@@ -20,6 +28,7 @@ from prefarg import (
     rank,
     verify_witness,
 )
+from prefarg.solvers import _rank_detail
 
 L1 = Labelling(undec_args="ab")
 L2 = Labelling(in_args="b", out_args="a")
@@ -310,6 +319,100 @@ def test_rank_output_satisfies_ranking_conditions():
 def test_paper_annotated_ranking_is_valid(rank_figure, rank_figure_labelling):
     psi = {"a": 0, "b": 1, "f": 2, "e": 2, "c": 2, "d": 3}
     assert is_valid_ranking(rank_figure, rank_figure_labelling, psi)
+
+
+def _random_instance(rng, labels):
+    """A framework of 1-9 arguments, self-attacks included, and a labelling over `labels`."""
+    fw = random_framework(rng, rng.randrange(1, 10), rng.random() * 0.5)
+    weights = [rng.random() for _ in labels]
+    names = sorted(fw.arguments)
+    return fw, Labelling.from_map(dict(zip(names, rng.choices(labels, weights, k=len(names)))))
+
+
+def test_rank_detail_matches_the_reference_sweeps():
+    """Same values and failure kind as the sweeps, and the same undec-unattacked argument."""
+    rng = random.Random(57)
+    kinds = collections.Counter()
+    for _ in range(2000):
+        fw, lab = _random_instance(rng, ("in", "undec"))
+        psi, failure = _rank_detail(fw, lab.in_args, lab.undec_args)
+        expected_psi, expected = reference_rank_detail(fw, lab.in_args, lab.undec_args)
+        assert psi == expected_psi
+        assert (failure and failure[0]) == (expected and expected[0])
+        if expected and expected[0] == "undec-unattacked":
+            assert failure == expected
+        kinds[expected and expected[0]] += 1
+    assert min(kinds.values()) > 200, kinds
+
+
+def test_ex4_agrees_with_the_sweeps_and_its_certificates_hold():
+    """Every no certificate re-derives from the graph; every yes witness verifies."""
+    rng = random.Random(58)
+    details = collections.Counter()
+    for _ in range(2000):
+        fw, lab = _random_instance(rng, ("in", "out", "undec"))
+        decision = decide_ex4(fw, lab)
+        core = fw.restrict(lab.in_args | lab.undec_args)
+        expected = is_complete(fw, lab) or (
+            all(fw.attackers(o) & lab.in_args for o in lab.out_args)
+            and reference_rank_detail(core, lab.in_args, lab.undec_args)[0] is not None
+        )
+        assert decision.yes == expected
+        if decision.yes:
+            assert verify_witness(fw, lab, 4, decision.witness)
+        else:
+            assert ex4_certificate_holds(fw, lab, decision.certificate)
+            details[decision.certificate.detail] += 1
+    assert len(details) == 3 and min(details.values()) > 100, details
+
+
+def test_ex4_settles_a_long_all_in_chain():
+    """The sweeps' worst case: names sorted along the chain, one step per sweep."""
+    n = 20_000
+    names = [f"c{i:05d}" for i in range(n)]
+    fw = Framework(names, zip(names, names[1:]))
+    lab = Labelling(in_args=names)
+    assert decide_ex4(fw, lab).yes
+    assert rank(fw, lab) == {name: n - 1 - i for i, name in enumerate(names)}
+
+
+def test_rank_settles_an_undec_cycle_that_becomes_eligible_late():
+    """The cycle's closing argument attacks the head of a deep in-chain."""
+    depth, length = 20_000, 50
+    chain = [f"c{i:05d}" for i in range(depth)]
+    cycle = [f"u{i:02d}" for i in range(length)]
+    attacks = [*zip(chain, chain[1:]), *zip(cycle, cycle[1:] + cycle[:1]), (cycle[-1], chain[0])]
+    fw = Framework(chain + cycle, attacks)
+    lab = Labelling(in_args=chain, undec_args=cycle)
+    psi = rank(fw, lab)
+    assert [psi[u] for u in cycle] == [depth] * length
+    assert psi[chain[0]] == depth - 1
+    assert decide_ex4(fw, lab).yes
+
+
+def test_rank_settles_eligible_arguments_that_wait_on_a_shared_chain():
+    """K undec arguments become eligible one level apart, each feeding one pending chain.
+
+    k_i attacks the in argument c_i, so it becomes eligible at level K - i + 1;
+    k_{i+1} attacks k_i, k_1 attacks z and z attacks k_K, so the cycle closes
+    only at level K, when every undec argument settles.
+    """
+    k, length = 200, 1000
+    chain = [f"c{i:03d}" for i in range(k + 1)]
+    waiting = {i: f"k{i:03d}" for i in range(1, k + 1)}
+    pending = [f"p{i:04d}" for i in range(length)]
+    attacks = [*zip(chain, chain[1:]), *zip(pending, pending[1:])]
+    attacks += [(waiting[i], chain[i]) for i in waiting]
+    attacks += [(waiting[i + 1], waiting[i]) for i in range(1, k)]
+    attacks += [(waiting[1], "z"), ("z", waiting[k])]
+    attacks += [(waiting[i], pending[0]) for i in waiting]
+    undec = [*waiting.values(), *pending, "z"]
+    fw = Framework(chain + undec, attacks)
+    lab = Labelling(in_args=chain, undec_args=undec)
+    psi = rank(fw, lab)
+    assert {psi[u] for u in undec} == {k}
+    assert [psi[c] for c in chain] == list(range(k, -1, -1))
+    assert decide_ex4(fw, lab).yes
 
 
 # --- reduction 4 -----------------------------------------------------------
