@@ -79,12 +79,13 @@ class Framework:
         self._require(name)
         return frozenset(self._targets[name])
 
-    def _layer(self, seeds: Iterable[str], depth: dict[str, int]) -> list[str]:
-        """Undirected BFS from the seeds; returns the arguments it reached, in order.
+    def _layer(self, seeds: Iterable[str], depth: dict, within: AbstractSet[str]) -> list[str]:
+        """Undirected BFS from the seeds inside `within`; returns what it reached, in order.
 
         Writes depth 0 for the seeds and one more per undirected step into
-        `depth`, skipping arguments already in it. The depths do not depend
-        on the order of the seeds or of the queue.
+        `depth`, skipping arguments already in it and stepping only onto
+        arguments of `within`. The depths do not depend on the order of the
+        seeds or of the queue.
         """
         attackers, targets = self._attackers, self._targets
         queue = list(seeds)
@@ -92,7 +93,7 @@ class Framework:
         for node in queue:
             below = depth[node] + 1
             for other in attackers[node] | targets[node]:
-                if other not in depth:
+                if other in within and other not in depth:
                     depth[other] = below
                     queue.append(other)
         return queue
@@ -103,7 +104,7 @@ class Framework:
         components = []
         for start in sorted(self.arguments):
             if start not in depth:
-                components.append(frozenset(self._layer((start,), depth)))
+                components.append(frozenset(self._layer((start,), depth, self.arguments)))
         return tuple(components)
 
     @cached_property
@@ -129,18 +130,15 @@ class Framework:
             keep, frozenset((s, t) for s, t in self.attacks if s in keep and t in keep)
         )
 
-    def _cyclic_core(self, within: AbstractSet[str] | None = None) -> frozenset[str]:
-        """What is left after repeatedly deleting arguments with no attacker left.
+    def _cyclic_core(self, within: AbstractSet[str]) -> frozenset[str]:
+        """What is left of `within` after repeatedly deleting the unattacked arguments.
 
-        Every argument left keeps an attacker that is also left, so the core
-        is empty exactly when the attack graph is acyclic; self-attacks count.
-        Given `within`, the peel sees only the subgraph it induces.
+        The peel sees only the subgraph `within` induces. Every argument left
+        keeps an attacker that is also left, so the core is empty exactly
+        when that subgraph is acyclic; self-attacks count.
         """
         attackers = self._attackers
-        if within is None:
-            indegree = {a: len(srcs) for a, srcs in attackers.items()}
-        else:
-            indegree = {a: sum(s in within for s in attackers[a]) for a in within}
+        indegree = {a: sum(s in within for s in attackers[a]) for a in within}
         queue = [a for a, count in indegree.items() if count == 0]
         for node in queue:
             del indegree[node]
@@ -153,7 +151,7 @@ class Framework:
 
     def has_cycle(self) -> bool:
         """True when a directed attack cycle exists; self-attacks count."""
-        return bool(self._cyclic_core())
+        return bool(self._cyclic_core(self.arguments))
 
     def bidirectional_attacks(self) -> frozenset[Attack]:
         """Attacks whose converse is also an attack; self-attacks qualify."""

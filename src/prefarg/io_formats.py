@@ -56,12 +56,17 @@ def _names(value, what: str) -> list[str]:
     return value
 
 
+def _load_json(text: str, what: str):
+    """Decode JSON text; malformed or too deeply nested input raises ParseError."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"{what} is not valid JSON: {exc}") from None
+
+
 def parse_labelling(text: str) -> Labelling:
     """Read a JSON object with "in"/"out"/"undec" lists of argument names."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"labelling is not valid JSON: {exc}") from None
+    data = _load_json(text, "labelling")
     if not isinstance(data, dict):
         raise ParseError("labelling must be a JSON object")
     unknown = set(data) - {IN, OUT, UNDEC}
@@ -110,19 +115,16 @@ def emit_order(order: PreferenceOrder, framework: Framework) -> str:
     """One line per connected component, least-preferred class first."""
     if not validate_order(framework, order):
         raise InvalidOrderError("order is not a CC-wise total order on the framework")
-    lines = []
-    for component in framework.connected_components():
-        chain = [cls for cls in order.classes if cls <= component]
-        lines.append(" < ".join(" = ".join(sorted(cls)) for cls in chain))
+    chains: list[list[str]] = [[] for _ in framework.connected_components()]
+    for cls in order.classes:
+        chains[framework._component_of[next(iter(cls))]].append(" = ".join(sorted(cls)))
+    lines = [" < ".join(chain) for chain in chains]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def parse_pref_fn(text: str) -> PreferenceFunction:
     """Read a JSON object mapping "src>dst" attack keys to 0 or 1."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"preference function is not valid JSON: {exc}") from None
+    data = _load_json(text, "preference function")
     if not isinstance(data, dict):
         raise ParseError("preference function must be a JSON object")
     bits: dict[Attack, int] = {}
@@ -207,10 +209,7 @@ def emit_result(decision: Decision, fmt: str = "json", elapsed_ms: float | None 
 
 
 def parse_result(text: str) -> Decision:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"result is not valid JSON: {exc}") from None
+    data = _load_json(text, "result")
     if not isinstance(data, dict) or "verdict" not in data or "reduction" not in data:
         raise ParseError("result must be a JSON object with verdict and reduction")
     verdict, reduction = data["verdict"], data["reduction"]

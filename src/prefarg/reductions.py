@@ -42,10 +42,9 @@ def reduce(framework: Framework, order: PreferenceOrder, index: int) -> Framewor
     _check_index(index)
     if not validate_order(framework, order):
         raise InvalidOrderError("order is not a CC-wise total order on the framework")
-    rank = order.rank
-    return _defeat_graph(
-        framework, {(a, b) for a, b in framework.attacks if rank(a) < rank(b)}, index
-    )
+    rank = order._rank
+    down = {(a, b) for a, b in framework.attacks if rank[a] < rank[b]}
+    return _defeat_graph(framework, down, index)
 
 
 def graph_from_pref_fn(

@@ -45,14 +45,15 @@ def _conditions_1_2(framework: Framework, labelling: Labelling) -> Certificate |
     Condition 1 forbids attacks inside I x I, I x U and U x I; condition 2
     asks every out argument for an in-labelled attacker or target.
     """
-    in_args, undec = labelling.in_args, labelling.undec_args
-    for src, dst in sorted(framework.attacks):
-        src_in, dst_in = src in in_args, dst in in_args
-        if (src_in and dst_in) or (src_in and dst in undec) or (src in undec and dst_in):
-            return Certificate(1, (src, dst), "attack between in/undec labelled arguments")
-    for name in sorted(labelling.out_args):
-        if not ((framework._attackers[name] | framework._targets[name]) & in_args):
-            return Certificate(2, (name,), "out argument with no in-labelled neighbour")
+    in_args, out_args = labelling.in_args, labelling.out_args
+    inner = ((s, d) for s, d in framework.attacks if s not in out_args and d not in out_args)
+    attack = min(((s, d) for s, d in inner if s in in_args or d in in_args), default=None)
+    if attack is not None:
+        return Certificate(1, attack, "attack between in/undec labelled arguments")
+    attackers, targets = framework._attackers, framework._targets
+    name = min((a for a in out_args if in_args.isdisjoint(attackers[a] | targets[a])), default=None)
+    if name is not None:
+        return Certificate(2, (name,), "out argument with no in-labelled neighbour")
     return None
 
 
@@ -70,6 +71,20 @@ def _witness(framework: Framework, labelling: Labelling, depth: dict) -> Prefere
     return order_by_depth(framework, depth)
 
 
+def _acyclic_undec_blocks(framework: Framework, labelling: Labelling, depth: dict):
+    """Layer the in arguments (depth 0) and the undec ones, from their cyclic core, into `depth`.
+
+    Then yield each undec block that layering missed, by least name; the
+    caller layers it into `depth` before asking for the next, or stops.
+    """
+    undec = labelling.undec_args
+    depth.update(dict.fromkeys(labelling.in_args, 0))
+    framework._layer(framework._cyclic_core(undec), depth, undec)
+    for start in sorted(undec):
+        if start not in depth:
+            yield frozenset(framework._layer((start,), {}, undec))
+
+
 def _trivial_yes(framework: Framework, reduction: int) -> Decision:
     return Decision(True, reduction, witness=PreferenceOrder.all_equivalent(framework))
 
@@ -79,21 +94,18 @@ def decide_ex1(framework: Framework, labelling: Labelling) -> Decision:
 
     Positive exactly when no attack touches two in/undec arguments other
     than undec-undec pairs, every out argument has an in neighbour, and
-    every component of the undec subframework contains a cycle.
+    every component of the undec part of the attack graph contains a cycle.
     """
     if completeness_violation(framework, labelling) is None:
         return _trivial_yes(framework, 1)
     failed = _conditions_1_2(framework, labelling)
     if failed is not None:
         return Decision(False, 1, certificate=failed)
-    undec = framework.restrict(labelling.undec_args)
-    core = undec._cyclic_core()
-    for block in undec.connected_components():
-        if block.isdisjoint(core):
-            detail = "undec component without a cycle"
-            return Decision(False, 1, certificate=Certificate(3, tuple(sorted(block)), detail))
-    depth = dict.fromkeys(labelling.in_args, 0)
-    undec._layer(core, depth)
+    depth: dict[str, int] = {}
+    block = next(_acyclic_undec_blocks(framework, labelling, depth), None)
+    if block is not None:
+        detail = "undec component without a cycle"
+        return Decision(False, 1, certificate=Certificate(3, tuple(sorted(block)), detail))
     return Decision(True, 1, witness=_witness(framework, labelling, depth))
 
 
@@ -120,22 +132,16 @@ def decide_ex3(framework: Framework, labelling: Labelling) -> Decision:
     failed = _conditions_1_2(framework, labelling)
     if failed is not None:
         return Decision(False, 3, certificate=failed)
-    undec = framework.restrict(labelling.undec_args)
-    core = undec._cyclic_core()
-    seeds = set(core)
-    for block in undec.connected_components():
-        if not block.isdisjoint(core):
-            continue
+    depth: dict[str, int] = {}
+    for block in _acyclic_undec_blocks(framework, labelling, depth):
         # Without a cycle, layer from the target d of the least attack (s, d):
         # s lands on layer 1, so that attack runs down and becomes mutual.
-        least = min(((s, d) for s in block for d in undec._targets[s]), default=None)
+        least = min(((s, d) for s in block for d in framework._targets[s] & block), default=None)
         if least is None:
             # Blocks come ordered by least name, so this is the least isolated argument.
             detail = "undec argument isolated among undec arguments"
             return Decision(False, 3, certificate=Certificate(3, tuple(block), detail))
-        seeds.add(least[1])
-    depth = dict.fromkeys(labelling.in_args, 0)
-    undec._layer(seeds, depth)
+        framework._layer((least[1],), depth, block)
     return Decision(True, 3, witness=_witness(framework, labelling, depth))
 
 
@@ -259,13 +265,10 @@ def decide_ex4(framework: Framework, labelling: Labelling) -> Decision:
     if completeness_violation(framework, labelling) is None:
         return _trivial_yes(framework, 4)
     in_args, out_args = labelling.in_args, labelling.out_args
-    for name in sorted(out_args):
-        if not (framework._attackers[name] & in_args):
-            return Decision(
-                False,
-                4,
-                certificate=Certificate(1, (name,), "out argument without an in-labelled attacker"),
-            )
+    name = min((a for a in out_args if in_args.isdisjoint(framework._attackers[a])), default=None)
+    if name is not None:
+        detail = "out argument without an in-labelled attacker"
+        return Decision(False, 4, certificate=Certificate(1, (name,), detail))
     psi, failure = _rank_detail(framework, in_args, labelling.undec_args)
     if psi is None:
         kind, argument = failure

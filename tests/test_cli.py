@@ -302,6 +302,35 @@ def test_batch_mode_reports_a_bad_pair_and_goes_on(tmp_path, capsys):
     assert lines[1]["verdict"] == "yes"
 
 
+DEEP_JSON = "[" * 200_000
+
+
+def test_solve_deeply_nested_labelling_exits_two(tmp_path, two_arg_file, capsys):
+    lab = write(tmp_path, "deep.json", DEEP_JSON)
+    code = main(["solve", "--framework", str(two_arg_file), "--labelling", str(lab), "--reduction", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: labelling is not valid JSON")
+    assert "Traceback" not in err
+
+
+def test_batch_mode_reports_a_deeply_nested_labelling_and_goes_on(tmp_path, capsys):
+    fdir = tmp_path / "frameworks"
+    ldir = tmp_path / "labellings"
+    fdir.mkdir()
+    ldir.mkdir()
+    (fdir / "deep.apx").write_text(TWO_ARG_APX)
+    (ldir / "deep.json").write_text(DEEP_JSON)
+    (fdir / "good.apx").write_text(TWO_ARG_APX)
+    (ldir / "good.json").write_text(L2_JSON)
+    code = main(["solve", "--framework", str(fdir), "--labelling", str(ldir), "--reduction", "1"])
+    lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+    assert code == 2
+    assert [l["instance"] for l in lines] == ["deep", "good"]
+    assert "labelling is not valid JSON" in lines[0]["error"]
+    assert lines[1]["verdict"] == "yes"
+
+
 def test_exhaustive_small_cli_agreement(tmp_path, capsys):
     # decide and oracle must agree cell by cell on a small instance matrix
     fw = write(tmp_path, "fw.apx", TWO_ARG_APX)

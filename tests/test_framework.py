@@ -160,14 +160,16 @@ def test_getters_hand_out_frozen_copies_of_the_tables():
                 assert got is not table[name]
 
 
-def undirected_distances(fw: Framework, seeds) -> dict[str, int]:
-    """Distances from the seed set along attacks in either direction, by relaxation."""
+def undirected_distances(fw: Framework, seeds, within) -> dict[str, int]:
+    """Distances from the seed set along attacks in either direction inside `within`."""
     distance = dict.fromkeys(seeds, 0)
     changed = True
     while changed:
         changed = False
         for s, t in fw.attacks:
             for a, b in ((s, t), (t, s)):
+                if b not in within:
+                    continue
                 if a in distance and distance.get(b, len(fw.arguments)) > distance[a] + 1:
                     distance[b] = distance[a] + 1
                     changed = True
@@ -176,18 +178,32 @@ def undirected_distances(fw: Framework, seeds) -> dict[str, int]:
 
 def test_layer_returns_every_argument_it_reaches_by_depth():
     rng = random.Random(62)
-    for _ in range(200):
+    saw_proper = False
+    for _ in range(400):
         fw = random_framework(rng, rng.randrange(1, 10), rng.random() * 0.3)
-        seeds = {a for a in fw.arguments if rng.random() < 0.3}
+        within = fw.arguments
+        if rng.random() < 0.5:
+            within = frozenset(a for a in fw.arguments if rng.random() < 0.6)
+            saw_proper |= within != fw.arguments
+        seeds = {a for a in within if rng.random() < 0.3}
         depth = {}
-        reached = fw._layer(seeds, depth)
-        assert depth == undirected_distances(fw, seeds)
+        reached = fw._layer(seeds, depth, within)
+        assert set(depth) <= within
+        assert depth == undirected_distances(fw, seeds, within)
         assert sorted(reached) == sorted(depth)
         assert [depth[a] for a in reached] == sorted(depth[a] for a in reached)
+    assert saw_proper
 
 
 def test_layer_skips_arguments_already_placed():
     fw = Framework("abc", [("a", "b"), ("b", "c")])
     depth = {"b": 0}
-    assert fw._layer(("a",), depth) == ["a"]
+    assert fw._layer(("a",), depth, fw.arguments) == ["a"]
     assert depth == {"a": 0, "b": 0}
+
+
+def test_layer_stays_inside_its_boundary():
+    fw = Framework("abcd", [("a", "b"), ("b", "c"), ("d", "a")])
+    depth = {}
+    assert fw._layer(("a",), depth, {"a", "c", "d"}) == ["a", "d"]
+    assert depth == {"a": 0, "d": 1}

@@ -57,21 +57,44 @@ def test_strongly_connected_matches_networkx():
         assert {frozenset(b) for b in blocks.values()} == expected
 
 
+def boundaries(rng: random.Random, framework: Framework):
+    """The whole argument set, then a random proper subset of it (when there is one)."""
+    yield framework.arguments
+    if framework.arguments:
+        drop = rng.choice(sorted(framework.arguments))
+        yield frozenset(a for a in framework.arguments if a != drop and rng.random() < 0.7)
+
+
 def test_cyclic_core_is_the_nontrivial_sccs_and_their_descendants():
+    rng = random.Random(56)
     saw_partial = False
     for fw in random_frameworks(54):
-        graph = as_digraph(fw)
-        expected = set()
-        for scc in nx.strongly_connected_components(graph):
-            node = next(iter(scc))
-            if len(scc) > 1 or graph.has_edge(node, node):
-                expected |= scc
-                expected |= nx.descendants(graph, node)
-        core = fw._cyclic_core()
-        assert core == expected
-        assert all(fw.attackers(a) & core for a in core)
-        saw_partial |= bool(core) and core != fw.arguments
+        for within in boundaries(rng, fw):
+            graph = as_digraph(fw).subgraph(within)
+            expected = set()
+            for scc in nx.strongly_connected_components(graph):
+                node = next(iter(scc))
+                if len(scc) > 1 or graph.has_edge(node, node):
+                    expected |= scc
+                    expected |= nx.descendants(graph, node)
+            core = fw._cyclic_core(within)
+            assert core == expected
+            assert all(fw.attackers(a) & core for a in core)
+            saw_partial |= bool(core) and core != within
     assert saw_partial
+
+
+def test_layer_depths_are_undirected_distances_inside_the_boundary():
+    rng = random.Random(57)
+    for fw in random_frameworks(58):
+        for within in boundaries(rng, fw):
+            graph = as_digraph(fw).subgraph(within).to_undirected()
+            seeds = [a for a in sorted(within) if rng.random() < 0.3]
+            depth = {}
+            reached = fw._layer(seeds, depth, within)
+            expected = nx.multi_source_dijkstra_path_length(graph, seeds) if seeds else {}
+            assert depth == expected
+            assert sorted(reached) == sorted(expected)
 
 
 def test_strongly_connected_numbers_sinks_first():

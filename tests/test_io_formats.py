@@ -110,6 +110,21 @@ def test_parse_labelling_bad_json():
         parse_labelling("not json")
 
 
+@pytest.mark.parametrize(
+    "parse, what",
+    [
+        (parse_labelling, "labelling"),
+        (parse_pref_fn, "preference function"),
+        (parse_result, "result"),
+    ],
+    ids=["labelling", "pref_fn", "result"],
+)
+@pytest.mark.parametrize("text", ["not json", "[" * 200_000], ids=["malformed", "deeply_nested"])
+def test_json_parsers_turn_malformed_or_deeply_nested_input_into_parse_errors(parse, what, text):
+    with pytest.raises(ParseError, match=f"^{what} is not valid JSON: "):
+        parse(text)
+
+
 # --- orders ----------------------------------------------------------------
 
 
@@ -132,6 +147,18 @@ def test_emit_order_groups_by_component():
     fw = Framework("abcd", [("a", "b"), ("c", "d")])
     order = PreferenceOrder([("a",), ("b",), ("d",), ("c",)])
     assert emit_order(order, fw) == "a < b\nd < c\n"
+
+
+def test_emit_order_groups_many_components_in_one_pass():
+    count = 20_000
+    xs, ys = [f"x{i:05d}" for i in range(count)], [f"y{i:05d}" for i in range(count)]
+    fw = Framework(xs + ys, zip(xs, ys))
+    chains = [[(y,), (x,)] if i % 2 else [(x, y)] for i, (x, y) in enumerate(zip(xs, ys))]
+    order = PreferenceOrder(cls for chain in reversed(chains) for cls in chain)
+    expected = [f"{y} < {x}" if i % 2 else f"{x} = {y}" for i, (x, y) in enumerate(zip(xs, ys))]
+    text = emit_order(order, fw)
+    assert text == "\n".join(expected) + "\n"
+    assert parse_order(text).arguments() == fw.arguments
 
 
 def test_order_round_trip(example1):

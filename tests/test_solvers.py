@@ -227,6 +227,22 @@ def test_several_undec_blocks_fail_at_the_least_block(seed):
             assert verify_witness(fw, lab, reduction, decision.witness)
 
 
+def test_undec_blocks_joined_only_through_an_out_argument_stay_apart():
+    # The undec part has two blocks, {u1, u2} with a cycle and {p1, p2}
+    # without; only the out argument o links them, and p1 is incomplete.
+    attacks = [("i", "o"), ("o", "u1"), ("o", "p1"), ("u1", "u2"), ("u2", "u1"), ("p1", "p2")]
+    fw = Framework({name for att in attacks for name in att}, attacks)
+    lab = Labelling(in_args="i", out_args="o", undec_args={"u1", "u2", "p1", "p2"})
+    assert not is_complete(fw, lab)
+    refused = decide_ex1(fw, lab)
+    assert not refused.yes
+    assert refused.certificate.condition == 3
+    assert refused.certificate.witness == ("p1", "p2")
+    decision = decide_ex3(fw, lab)
+    assert decision.yes
+    assert verify_witness(fw, lab, 3, decision.witness)
+
+
 # --- rank ------------------------------------------------------------------
 
 
