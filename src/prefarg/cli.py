@@ -52,8 +52,9 @@ def _size_cap(default: int) -> int:
 
 
 def _read(path: str) -> str:
+    """The file's text, without the UTF-8 byte-order mark some editors write first."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise PrefargError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 

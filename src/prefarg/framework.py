@@ -30,10 +30,29 @@ class Framework:
         for name in args:
             if not isinstance(name, str) or not NAME_PATTERN.match(name):
                 raise ValueError(f"bad argument name: {name!r}")
+        self._index(args, atts)
+
+    @classmethod
+    def _derived(cls, arguments: frozenset[str], attacks: frozenset[Attack]) -> "Framework":
+        """A framework over well-formed names, indexed without checking them again."""
+        framework = cls.__new__(cls)
+        framework._index(arguments, attacks)
+        return framework
+
+    def _index(self, args: frozenset[str], atts: frozenset[Attack]) -> None:
+        """Set both fields and fill the attacker and target tables in one pass.
+
+        An attack with an endpoint outside `args` raises UnknownArgumentError.
+        Nothing changes a table afterwards; the public getters hand out frozen copies.
+        """
         object.__setattr__(self, "arguments", args)
         object.__setattr__(self, "attacks", atts)
+        attackers: dict[str, set[str]] = {a: set() for a in args}
+        targets: dict[str, set[str]] = {a: set() for a in args}
         try:
-            self._index(args, atts)
+            for src, dst in atts:
+                attackers[dst].add(src)
+                targets[src].add(dst)
         except KeyError:
             src, dst = min(
                 ((s, d) for s, d in atts if s not in args or d not in args),
@@ -42,26 +61,6 @@ class Framework:
             raise UnknownArgumentError(
                 f"attack ({src},{dst}) references an unknown argument"
             ) from None
-
-    @classmethod
-    def _derived(cls, arguments: frozenset[str], attacks: frozenset[Attack]) -> "Framework":
-        """A framework over checked names and endpoints, indexed without re-checking."""
-        framework = cls.__new__(cls)
-        object.__setattr__(framework, "arguments", arguments)
-        object.__setattr__(framework, "attacks", attacks)
-        framework._index(arguments, attacks)
-        return framework
-
-    def _index(self, args: frozenset[str], atts: frozenset[Attack]) -> None:
-        """Fill the attacker and target tables in one pass; KeyError on an unknown endpoint.
-
-        Nothing changes a table afterwards; the public getters hand out frozen copies.
-        """
-        attackers: dict[str, set[str]] = {a: set() for a in args}
-        targets: dict[str, set[str]] = {a: set() for a in args}
-        for src, dst in atts:
-            attackers[dst].add(src)
-            targets[src].add(dst)
         object.__setattr__(self, "_attackers", attackers)
         object.__setattr__(self, "_targets", targets)
 

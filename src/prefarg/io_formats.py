@@ -15,33 +15,42 @@ from .reductions import REDUCTIONS
 from .semantics import IN, OUT, UNDEC, Labelling
 from .solvers import Certificate, Decision
 
-_FACT = re.compile(
-    r"\s*(?:arg\(\s*([A-Za-z0-9_]+)\s*\)|att\(\s*([A-Za-z0-9_]+)\s*,\s*([A-Za-z0-9_]+)\s*\))\s*\."
-)
+# A fact sits on one line; `[^\S\n]` is any whitespace but the line break.
+_S = r"[^\S\n]*"
+_NAME = r"([A-Za-z0-9_]+)"
+_ARG = re.compile(rf"arg\({_S}{_NAME}{_S}\){_S}\.")
+_ATT = re.compile(rf"att\({_S}{_NAME}{_S},{_S}{_NAME}{_S}\){_S}\.")
+_FACT = re.compile(f"{_ARG.pattern}|{_ATT.pattern}")
+_COMMENT = re.compile(r"%[^\n]*")
 
 
 def parse_apx(text: str) -> Framework:
     """Read `arg(name).` and `att(src,dst).` facts; `%` starts a comment.
 
     Duplicate facts are harmless; an attack naming an undeclared argument is
-    an error, as is any other non-blank content.
+    an error, as is any other non-blank content. Lines are those of
+    `str.splitlines`, and no fact spans two of them.
     """
-    args: set[str] = set()
-    atts: set[Attack] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0]
-        pos = 0
-        while match := _FACT.match(line, pos):
-            name, src, dst = match.groups()
-            if name is None:
-                atts.add((src, dst))
-            else:
-                args.add(name)
-            pos = match.end()
-        rest = line[pos:].lstrip()
-        if rest:
-            raise ParseError(f"unrecognised content: {rest[:40]!r}", line=lineno)
-    return Framework(args, atts)
+    text = "\n".join(text.splitlines())
+    if "%" in text:
+        text = _COMMENT.sub("", text)
+    # Facts hold no line break, so what they leave behind keeps every line.
+    rest = _FACT.sub("", text)
+    junk = rest.lstrip()
+    if junk:
+        raise _content_error(text, rest.count("\n", 0, len(rest) - len(junk)) + 1)
+    return Framework._derived(frozenset(_ARG.findall(text)), frozenset(_ATT.findall(text)))
+
+
+def _content_error(text: str, lineno: int) -> ParseError:
+    """Name what follows the line's leading run of facts, up to 40 characters."""
+    line = text.split("\n", lineno)[lineno - 1]
+    pos = 0
+    for match in _FACT.finditer(line):
+        if line[pos : match.start()].strip():
+            break
+        pos = match.end()
+    return ParseError(f"unrecognised content: {line[pos:].lstrip()[:40]!r}", line=lineno)
 
 
 def emit_apx(framework: Framework) -> str:

@@ -1,8 +1,9 @@
 import random
+import re
 
 import pytest
 
-from prefarg import IN, OUT, UNDEC, Framework, Labelling, PreferenceOrder
+from prefarg import IN, OUT, UNDEC, Framework, Labelling, ParseError, PreferenceOrder
 
 EXAMPLE1_ATTACKS = [
     ("a", "b"),
@@ -91,6 +92,36 @@ def all_frameworks(names: tuple[str, ...]):
     pairs = [(s, t) for s in names for t in names]
     for mask in range(1 << len(pairs)):
         yield Framework(names, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
+_LINE_FACT = re.compile(
+    r"\s*(?:arg\(\s*([A-Za-z0-9_]+)\s*\)|att\(\s*([A-Za-z0-9_]+)\s*,\s*([A-Za-z0-9_]+)\s*\))\s*\."
+)
+
+
+def reference_parse_apx(text: str) -> Framework:
+    """APX read line by line: cut each line at `%`, match facts from its start.
+
+    Independent of `prefarg.io_formats`: the first line with anything left
+    after its leading run of facts raises, naming up to 40 characters of it,
+    and the facts go to the public, checked `Framework` constructor.
+    """
+    args: set[str] = set()
+    atts: set[tuple[str, str]] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("%", 1)[0]
+        pos = 0
+        while match := _LINE_FACT.match(line, pos):
+            name, src, dst = match.groups()
+            if name is None:
+                atts.add((src, dst))
+            else:
+                args.add(name)
+            pos = match.end()
+        rest = line[pos:].lstrip()
+        if rest:
+            raise ParseError(f"unrecognised content: {rest[:40]!r}", line=lineno)
+    return Framework(args, atts)
 
 
 def reference_reduce(framework: Framework, order: PreferenceOrder, index: int) -> Framework:

@@ -376,6 +376,44 @@ def test_reduce_non_utf8_order_exits_two(tmp_path, example1_files, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+BOM = "\ufeff"
+
+
+def without_timing(out: str) -> list[dict]:
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    for row in rows:
+        row.pop("elapsed_ms", None)
+    return rows
+
+
+def test_solve_reads_files_with_a_byte_order_mark_and_crlf_line_breaks(tmp_path, capsys):
+    runs = []
+    for marked in (False, True):
+        prefix, newline = (BOM, "\r\n") if marked else ("", "\n")
+        fw = write(tmp_path, f"fw{marked}.apx", prefix + EXAMPLE1_APX.replace("\n", newline))
+        lab = write(tmp_path, f"l{marked}.json", prefix + EXAMPLE1_COMPLETE_JSON)
+        code = main(["solve", "--framework", str(fw), "--labelling", str(lab), "--reduction", "all"])
+        runs.append((code, without_timing(capsys.readouterr().out)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+
+
+def test_batch_mode_reads_files_with_a_byte_order_mark(tmp_path, capsys):
+    runs = []
+    for prefix in ("", BOM):
+        fdir, ldir = tmp_path / f"f{len(prefix)}", tmp_path / f"l{len(prefix)}"
+        fdir.mkdir()
+        ldir.mkdir()
+        for stem, labelling in (("one", L1_JSON), ("two", L2_JSON)):
+            (fdir / f"{stem}.apx").write_text(prefix + TWO_ARG_APX, encoding="utf-8")
+            (ldir / f"{stem}.json").write_text(prefix + labelling, encoding="utf-8")
+        code = main(["solve", "--framework", str(fdir), "--labelling", str(ldir), "--reduction", "all"])
+        runs.append((code, without_timing(capsys.readouterr().out)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+    assert len(runs[0][1]) == 8
+
+
 def test_gen_refuses_args_above_the_cap_at_once(capsys):
     from prefarg.cli import GEN_ARGS_CAP
 

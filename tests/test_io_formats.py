@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     EXAMPLE1_APX,
     random_framework,
+    reference_parse_apx,
     random_labelling,
     random_order,
 )
@@ -81,6 +82,79 @@ def test_parse_apx_unicode_spaces_separate_facts():
 
 def test_apx_round_trip_example1(example1):
     assert parse_apx(emit_apx(example1)) == example1
+
+
+# Every line break of `str.splitlines`, and spaces that are not line breaks.
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+SPACES = ("", " ", "\t", "\u3000", "\xa0", "\u2003", "\x1f")
+JUNK = ("junk", "arg(a", "att(a b).", "arg(a)", ")", ".", "arg(\xe9).", "x" * 50, "arg()", "att(a,b,c).")
+
+
+def random_apx_text(rng: random.Random) -> str:
+    """Facts, comments, line breaks and spaces, now and then a fact cut by a break or junk."""
+
+    def space():
+        return "".join(rng.choice(SPACES) for _ in range(rng.randrange(3)))
+
+    def name():
+        return rng.choice("abcd")
+
+    # Half the texts declare every name first, so that more attacks stand.
+    pieces = [f"arg({n}). " for n in "abcd"] if rng.random() < 0.5 else []
+    for _ in range(rng.randrange(12)):
+        roll = rng.random()
+        if roll < 0.3:
+            pieces.append(f"arg({space()}{name()}{space()}){space()}.")
+        elif roll < 0.55:
+            pieces.append(f"att({space()}{name()}{space()},{space()}{name()}{space()}){space()}.")
+        elif roll < 0.65:
+            pieces.append(f"%{rng.choice(('', ' arg(z).', ' junk %'))}")
+        elif roll < 0.8:
+            pieces.append(rng.choice(LINE_BREAKS))
+        elif roll < 0.9:
+            pieces.append(space() or " ")
+        elif roll < 0.95:
+            cut = rng.choice(("arg(", "arg(a", "att(a,", "att(a,b)"))
+            pieces.append(f"{cut}{rng.choice(LINE_BREAKS)}{'a).' if cut == 'arg(' else 'b).'}")
+        else:
+            pieces.append(rng.choice(JUNK))
+    return "".join(pieces)
+
+
+def parse_outcome(parse, text: str):
+    """The framework parsed, or the error's type, text and line."""
+    try:
+        return parse(text)
+    except (ParseError, UnknownArgumentError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def test_parse_apx_agrees_with_the_line_by_line_reference():
+    rng = random.Random(9)
+    kinds = set()
+    for _ in range(4000):
+        text = random_apx_text(rng)
+        expected = parse_outcome(reference_parse_apx, text)
+        assert parse_outcome(parse_apx, text) == expected, text
+        kinds.add(type(expected) if isinstance(expected, Framework) else expected[0])
+    assert kinds == {Framework, ParseError, UnknownArgumentError}
+
+
+def test_parse_apx_reads_every_line_break_of_splitlines():
+    for brk in LINE_BREAKS:
+        assert parse_apx(f"arg(a).{brk}%arg(b).{brk}att(a,a).") == Framework("a", [("a", "a")])
+        with pytest.raises(ParseError) as info:
+            parse_apx(f"arg(a).{brk}{brk}arg({brk}b).")
+        assert str(info.value) == "line 3: unrecognised content: 'arg('"
+
+
+def test_parse_apx_names_junk_up_to_a_comment_and_40_characters():
+    with pytest.raises(ParseError) as info:
+        parse_apx("arg(a).\r\n arg(b). arg(c %x).\n")
+    assert str(info.value) == "line 2: unrecognised content: 'arg(c '"
+    with pytest.raises(ParseError) as info:
+        parse_apx("arg(a). " + "y" * 60)
+    assert str(info.value) == f"line 1: unrecognised content: {'y' * 40!r}"
 
 
 # --- labellings ------------------------------------------------------------

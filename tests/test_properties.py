@@ -1,9 +1,30 @@
-"""Property tests of the reduction-4 ranking and decider on small frameworks."""
+"""Property tests on small frameworks: the reduction-4 ranking and decider, and format round trips."""
 
 import pytest
 
 from conftest import ex4_certificate_holds, kleene_rank
-from prefarg import Framework, Labelling, decide_ex4, grounded_labelling, rank, verify_witness
+from prefarg import (
+    Certificate,
+    Decision,
+    Framework,
+    Labelling,
+    PreferenceFunction,
+    PreferenceOrder,
+    decide_ex4,
+    emit_apx,
+    emit_labelling,
+    emit_order,
+    emit_pref_fn,
+    emit_result,
+    grounded_labelling,
+    parse_apx,
+    parse_labelling,
+    parse_order,
+    parse_pref_fn,
+    parse_result,
+    rank,
+    verify_witness,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -56,3 +77,58 @@ def test_ex4_yes_witnesses_verify_and_no_certificates_hold(instance):
         assert verify_witness(fw, lab, 4, decision.witness)
     else:
         assert ex4_certificate_holds(fw, lab, decision.certificate)
+
+
+ROUND_TRIP_SETTINGS = hypothesis.settings(
+    derandomize=True, max_examples=100, deadline=None, database=None
+)
+
+
+@st.composite
+def orders(draw, framework: Framework) -> PreferenceOrder:
+    """A CC-wise total order, its classes grouped by component as `emit_order` writes them."""
+    classes = []
+    for component in framework.connected_components():
+        members = draw(st.permutations(sorted(component)))
+        chain = [[members[0]]]
+        for name in members[1:]:
+            if draw(st.booleans()):
+                chain[-1].append(name)
+            else:
+                chain.append([name])
+        classes += chain
+    return PreferenceOrder(classes)
+
+
+@st.composite
+def decisions(draw, framework: Framework) -> Decision:
+    """A yes with a witness order, or a no with or without a certificate."""
+    reduction = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return Decision(True, reduction, witness=draw(orders(framework)))
+    certificate = draw(
+        st.none()
+        | st.builds(
+            Certificate,
+            st.integers(1, 3),
+            st.lists(st.sampled_from(NAMES), max_size=2).map(tuple),
+            st.text(max_size=12),
+        )
+    )
+    return Decision(False, reduction, certificate=certificate)
+
+
+@ROUND_TRIP_SETTINGS
+@hypothesis.given(st.data())
+def test_every_format_reads_back_what_it_writes(data):
+    fw, lab = data.draw(instances())
+    assert parse_apx(emit_apx(fw)) == fw
+    assert parse_labelling(emit_labelling(lab)) == lab
+    order = data.draw(orders(fw))
+    assert parse_order(emit_order(order, fw)) == order
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=len(fw.attacks), max_size=len(fw.attacks)))
+    fn = PreferenceFunction(dict(zip(sorted(fw.attacks), bits)))
+    assert parse_pref_fn(emit_pref_fn(fn)) == fn
+    decision = data.draw(decisions(fw))
+    assert parse_result(emit_result(decision)) == decision
+    assert parse_result(emit_result(decision, elapsed_ms=1.5)) == decision
