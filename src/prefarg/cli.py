@@ -24,11 +24,12 @@ from .io_formats import (
     parse_apx,
     parse_labelling,
     parse_order,
+    result_payload,
 )
 from .oracle import DEFAULT_COMPONENT_CAP, brute_force_ex
 from .reductions import reduce as apply_reduction
 from .semantics import DEFAULT_LABELLING_CAP, Labelling, enumerate_complete
-from .solvers import Decision, decide, verify_witness
+from .solvers import Decision, decide_all, verify_witness
 
 SIZE_CAP_ENV = "PREFARG_SIZE_CAP"
 
@@ -68,16 +69,17 @@ def _reduction_list(value: str) -> list[int]:
     return [1, 2, 3, 4] if value == "all" else [int(value)]
 
 
-def _decide_one(framework, labelling, reduction: int, verified: bool) -> Decision:
-    decision = decide(framework, labelling, reduction)
-    if decision.yes and verified:
-        if decision.witness is None or not verify_witness(
-            framework, labelling, reduction, decision.witness
-        ):
-            raise _InternalError(
-                f"witness for reduction {reduction} failed verification"
-            )
-    return decision
+def _decisions(framework, labelling, reductions: str, verified: bool):
+    """Each asked-for reduction's decision in turn, every yes witness verified under `solve`."""
+    for decision in decide_all(framework, labelling, _reduction_list(reductions)):
+        if decision.yes and verified:
+            if decision.witness is None or not verify_witness(
+                framework, labelling, decision.reduction, decision.witness
+            ):
+                raise _InternalError(
+                    f"witness for reduction {decision.reduction} failed verification"
+                )
+        yield decision
 
 
 class _InternalError(Exception):
@@ -90,9 +92,8 @@ def _cmd_decide(args, verified: bool) -> int:
         return _run_batch(args, verified)
     framework, labelling = _load_instance(args.framework, args.labelling)
     any_yes = False
-    for reduction in _reduction_list(args.reduction):
-        started = time.perf_counter()
-        decision = _decide_one(framework, labelling, reduction, verified)
+    started = time.perf_counter()
+    for decision in _decisions(framework, labelling, args.reduction, verified):
         elapsed = (time.perf_counter() - started) * 1000.0
         print(
             emit_result(
@@ -102,6 +103,7 @@ def _cmd_decide(args, verified: bool) -> int:
             )
         )
         any_yes = any_yes or decision.yes
+        started = time.perf_counter()
     return EXIT_YES if any_yes else EXIT_NO
 
 
@@ -125,17 +127,13 @@ def _run_batch(args, verified: bool) -> int:
     for stem in stems:
         try:
             framework, labelling = _load_instance(str(frameworks[stem]), str(labellings[stem]))
-            decisions = [
-                _decide_one(framework, labelling, reduction, verified)
-                for reduction in _reduction_list(args.reduction)
-            ]
+            decisions = list(_decisions(framework, labelling, args.reduction, verified))
         except (PrefargError, OSError) as exc:
             failed = True
             print(json.dumps({"instance": stem, "error": str(exc)}))
             continue
         for decision in decisions:
-            payload = {"instance": stem, **json.loads(emit_result(decision, fmt="json"))}
-            print(json.dumps(payload))
+            print(json.dumps({"instance": stem, **result_payload(decision)}))
     return EXIT_INPUT_ERROR if failed else EXIT_YES
 
 

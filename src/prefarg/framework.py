@@ -3,6 +3,7 @@
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import AbstractSet, Iterable
 
 from .errors import UnknownArgumentError
@@ -40,19 +41,20 @@ class Framework:
         return framework
 
     def _index(self, args: frozenset[str], atts: frozenset[Attack]) -> None:
-        """Set both fields and fill the attacker and target tables in one pass.
+        """Set both fields and fill the attacker table in one pass.
 
         An attack with an endpoint outside `args` raises UnknownArgumentError.
-        Nothing changes a table afterwards; the public getters hand out frozen copies.
+        The target table is built on first read (`_targets`). Nothing changes
+        a table afterwards; the public getters hand out frozen copies.
         """
         object.__setattr__(self, "arguments", args)
         object.__setattr__(self, "attacks", atts)
         attackers: dict[str, set[str]] = {a: set() for a in args}
-        targets: dict[str, set[str]] = {a: set() for a in args}
         try:
             for src, dst in atts:
                 attackers[dst].add(src)
-                targets[src].add(dst)
+            if not args.issuperset(map(itemgetter(0), atts)):
+                raise KeyError
         except KeyError:
             src, dst = min(
                 ((s, d) for s, d in atts if s not in args or d not in args),
@@ -62,7 +64,14 @@ class Framework:
                 f"attack ({src},{dst}) references an unknown argument"
             ) from None
         object.__setattr__(self, "_attackers", attackers)
-        object.__setattr__(self, "_targets", targets)
+
+    @cached_property
+    def _targets(self) -> dict[str, set[str]]:
+        """Each argument's targets, built on first read: no rejection check needs them."""
+        targets: dict[str, set[str]] = {a: set() for a in self.arguments}
+        for src, dst in self.attacks:
+            targets[src].add(dst)
+        return targets
 
     def _require(self, name: str) -> None:
         if name not in self.arguments:

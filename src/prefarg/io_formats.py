@@ -177,30 +177,39 @@ def emit_dot(
     return "\n".join(lines) + "\n"
 
 
+def result_payload(decision: Decision, elapsed_ms: float | None = None) -> dict:
+    """The JSON object `emit_result` writes for a decision, before encoding."""
+    payload: dict = {
+        "verdict": decision.verdict,
+        "reduction": decision.reduction,
+        "witness": (
+            [sorted(cls) for cls in decision.witness.classes]
+            if decision.witness is not None
+            else None
+        ),
+        "certificate": (
+            {
+                "condition": decision.certificate.condition,
+                "witness": list(decision.certificate.witness),
+                "detail": decision.certificate.detail,
+            }
+            if decision.certificate is not None
+            else None
+        ),
+    }
+    if elapsed_ms is not None:
+        payload["elapsed_ms"] = round(elapsed_ms, 3)
+    return payload
+
+
 def emit_result(decision: Decision, fmt: str = "json", elapsed_ms: float | None = None) -> str:
-    """Serialise a decision; the JSON form is what `parse_result` reads back."""
+    """Serialise a decision; the JSON form is what `parse_result` reads back.
+
+    A no decision without a certificate is the oracle's: no CC-wise order
+    made the labelling complete.
+    """
     if fmt == "json":
-        payload: dict = {
-            "verdict": decision.verdict,
-            "reduction": decision.reduction,
-            "witness": (
-                [sorted(cls) for cls in decision.witness.classes]
-                if decision.witness is not None
-                else None
-            ),
-            "certificate": (
-                {
-                    "condition": decision.certificate.condition,
-                    "witness": list(decision.certificate.witness),
-                    "detail": decision.certificate.detail,
-                }
-                if decision.certificate is not None
-                else None
-            ),
-        }
-        if elapsed_ms is not None:
-            payload["elapsed_ms"] = round(elapsed_ms, 3)
-        return json.dumps(payload)
+        return json.dumps(result_payload(decision, elapsed_ms))
     if fmt != "text":
         raise ValueError(f"unknown result format {fmt!r}")
     if decision.yes:
@@ -210,6 +219,8 @@ def emit_result(decision: Decision, fmt: str = "json", elapsed_ms: float | None 
             shown = " < ".join(" = ".join(sorted(cls)) for cls in decision.witness.classes)
         return f"YES (reduction {decision.reduction}) witness: {shown}"
     cert = decision.certificate
+    if cert is None:
+        return f"NO (reduction {decision.reduction}) no CC-wise order makes the labelling complete"
     where = ",".join(cert.witness)
     return (
         f"NO (reduction {decision.reduction}) condition {cert.condition}"

@@ -8,6 +8,8 @@ argument or attack.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Iterator
 
 from .errors import DomainMismatchError, InvalidOrderError
 from .framework import Framework
@@ -15,7 +17,7 @@ from .preferences import PreferenceOrder, order_by_depth, validate_order
 # Unused here: benchmarks/tracing.py patches `pref_fn_to_order` under this name.
 from .preferences import pref_fn_to_order  # noqa: F401
 from .reductions import reduce
-from .semantics import Labelling, completeness_violation, is_complete, require_total
+from .semantics import Labelling, Violation, completeness_violation, is_complete, require_total
 
 
 @dataclass(frozen=True)
@@ -42,19 +44,48 @@ class Decision:
 def _conditions_1_2(framework: Framework, labelling: Labelling) -> Certificate | None:
     """First violation of conditions 1-2, shared by reductions 1 and 3.
 
-    Condition 1 forbids attacks inside I x I, I x U and U x I; condition 2
-    asks every out argument for an in-labelled attacker or target.
+    Condition 1 forbids attacks inside I x I, I x U and U x I: an attack
+    into an in argument from a non-out one, or into an undec argument from
+    an in one. Condition 2 asks every out argument for an in-labelled
+    attacker or target. Both read the attacker table alone.
     """
     in_args, out_args = labelling.in_args, labelling.out_args
-    inner = ((s, d) for s, d in framework.attacks if s not in out_args and d not in out_args)
-    attack = min(((s, d) for s, d in inner if s in in_args or d in in_args), default=None)
-    if attack is not None:
-        return Certificate(1, attack, "attack between in/undec labelled arguments")
-    attackers, targets = framework._attackers, framework._targets
-    name = min((a for a in out_args if in_args.isdisjoint(attackers[a] | targets[a])), default=None)
+    attackers = framework._attackers
+    clashes = [
+        (s, d) for d in in_args if not attackers[d] <= out_args for s in attackers[d] - out_args
+    ]
+    clashes += [
+        (s, d)
+        for d in labelling.undec_args
+        if not in_args.isdisjoint(attackers[d])
+        for s in attackers[d] & in_args
+    ]
+    if clashes:
+        return Certificate(1, min(clashes), "attack between in/undec labelled arguments")
+    unattacking = out_args.difference(*(attackers[a] for a in in_args))
+    name = min((a for a in unattacking if in_args.isdisjoint(attackers[a])), default=None)
     if name is not None:
         return Certificate(2, (name,), "out argument with no in-labelled neighbour")
     return None
+
+
+class _Checks:
+    """The rejection checks on one (framework, labelling), each run at most once.
+
+    A decider makes its own unless `decide_all` hands it the instance's, so
+    the checks never outlive the call that asked for them.
+    """
+
+    def __init__(self, framework: Framework, labelling: Labelling):
+        self.framework, self.labelling = framework, labelling
+
+    @cached_property
+    def violation(self) -> Violation | None:
+        return completeness_violation(self.framework, self.labelling)
+
+    @cached_property
+    def conditions_1_2(self) -> Certificate | None:
+        return _conditions_1_2(self.framework, self.labelling)
 
 
 def _witness(framework: Framework, labelling: Labelling, depth: dict) -> PreferenceOrder:
@@ -89,16 +120,17 @@ def _trivial_yes(framework: Framework, reduction: int) -> Decision:
     return Decision(True, reduction, witness=PreferenceOrder.all_equivalent(framework))
 
 
-def decide_ex1(framework: Framework, labelling: Labelling) -> Decision:
+def decide_ex1(framework: Framework, labelling: Labelling, *, checks=None) -> Decision:
     """Inverse problem under reduction 1 (attack reflection).
 
     Positive exactly when no attack touches two in/undec arguments other
     than undec-undec pairs, every out argument has an in neighbour, and
     every component of the undec part of the attack graph contains a cycle.
     """
-    if completeness_violation(framework, labelling) is None:
+    checks = checks or _Checks(framework, labelling)
+    if checks.violation is None:
         return _trivial_yes(framework, 1)
-    failed = _conditions_1_2(framework, labelling)
+    failed = checks.conditions_1_2
     if failed is not None:
         return Decision(False, 1, certificate=failed)
     depth: dict[str, int] = {}
@@ -109,9 +141,9 @@ def decide_ex1(framework: Framework, labelling: Labelling) -> Decision:
     return Decision(True, 1, witness=_witness(framework, labelling, depth))
 
 
-def decide_ex2(framework: Framework, labelling: Labelling) -> Decision:
+def decide_ex2(framework: Framework, labelling: Labelling, *, checks=None) -> Decision:
     """Inverse problem under reduction 2: positive iff already complete."""
-    violation = completeness_violation(framework, labelling)
+    violation = (checks or _Checks(framework, labelling)).violation
     if violation is None:
         return _trivial_yes(framework, 2)
     return Decision(
@@ -121,15 +153,16 @@ def decide_ex2(framework: Framework, labelling: Labelling) -> Decision:
     )
 
 
-def decide_ex3(framework: Framework, labelling: Labelling) -> Decision:
+def decide_ex3(framework: Framework, labelling: Labelling, *, checks=None) -> Decision:
     """Inverse problem under reduction 3 (reflection plus weak removal).
 
     Conditions 1 and 2 are as for reduction 1; condition 3 relaxes to
     requiring an undec neighbour for every undec argument.
     """
-    if completeness_violation(framework, labelling) is None:
+    checks = checks or _Checks(framework, labelling)
+    if checks.violation is None:
         return _trivial_yes(framework, 3)
-    failed = _conditions_1_2(framework, labelling)
+    failed = checks.conditions_1_2
     if failed is not None:
         return Decision(False, 3, certificate=failed)
     depth: dict[str, int] = {}
@@ -165,10 +198,11 @@ def _rank_detail(framework: Framework, in_args: frozenset[str], undec: frozenset
     Linear in n + m when no eligible argument waits through several levels
     (all-in chains among them); O(n * (n + m)) at worst.
     """
-    attackers, targets = framework._attackers, framework._targets
+    attackers = framework._attackers
     unattacked = [u for u in undec if undec.isdisjoint(attackers[u])]
     if unattacked:
         return None, ("undec-unattacked", min(unattacked))
+    targets = framework._targets
     # Targets still to settle: in/undec ones for an in argument, in ones for an undec one.
     waiting = {a: sum(t in in_args or t in undec for t in targets[a]) for a in in_args}
     waiting.update((u, sum(t in in_args for t in targets[u])) for u in undec)
@@ -254,7 +288,7 @@ def is_valid_ranking(framework: Framework, labelling: Labelling, psi) -> bool:
     return True
 
 
-def decide_ex4(framework: Framework, labelling: Labelling) -> Decision:
+def decide_ex4(framework: Framework, labelling: Labelling, *, checks=None) -> Decision:
     """Inverse problem under reduction 4 (attack removal).
 
     Out arguments must keep an in-labelled attacker since removal never adds
@@ -262,7 +296,7 @@ def decide_ex4(framework: Framework, labelling: Labelling) -> Decision:
     a ranking yields the witness by dropping every attack that runs strictly
     downhill.
     """
-    if completeness_violation(framework, labelling) is None:
+    if (checks or _Checks(framework, labelling)).violation is None:
         return _trivial_yes(framework, 4)
     in_args, out_args = labelling.in_args, labelling.out_args
     name = min((a for a in out_args if in_args.isdisjoint(framework._attackers[a])), default=None)
@@ -285,11 +319,23 @@ DECIDERS = {1: decide_ex1, 2: decide_ex2, 3: decide_ex3, 4: decide_ex4}
 
 
 def decide(framework: Framework, labelling: Labelling, reduction: int) -> Decision:
-    try:
-        decider = DECIDERS[reduction]
-    except KeyError:
-        raise ValueError(f"reduction index must be 1..4, got {reduction!r}") from None
-    return decider(framework, labelling)
+    return next(decide_all(framework, labelling, (reduction,)))
+
+
+def decide_all(
+    framework: Framework, labelling: Labelling, reductions: Iterable[int]
+) -> Iterator[Decision]:
+    """Yield `decide(framework, labelling, r)` for each reduction r in turn.
+
+    The completeness check and the conditions 1-2 scan run at most once,
+    under the first reduction that needs each, and are dropped with the
+    generator.
+    """
+    checks = _Checks(framework, labelling)
+    for reduction in reductions:
+        if reduction not in DECIDERS:
+            raise ValueError(f"reduction index must be 1..4, got {reduction!r}")
+        yield DECIDERS[reduction](framework, labelling, checks=checks)
 
 
 def verify_witness(

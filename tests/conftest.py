@@ -3,7 +3,16 @@ import re
 
 import pytest
 
-from prefarg import IN, OUT, UNDEC, Framework, Labelling, ParseError, PreferenceOrder
+from prefarg import (
+    IN,
+    OUT,
+    UNDEC,
+    Certificate,
+    Framework,
+    Labelling,
+    ParseError,
+    PreferenceOrder,
+)
 
 EXAMPLE1_ATTACKS = [
     ("a", "b"),
@@ -191,6 +200,30 @@ def reference_grounded(framework: Framework) -> Labelling:
                 out_set.add(name)
                 changed = True
     return Labelling(in_set, out_set, framework.arguments - in_set - out_set)
+
+
+def reference_conditions_1_2(framework: Framework, labelling: Labelling):
+    """The first violation of conditions 1-2 of reductions 1 and 3, by a scan of every attack.
+
+    Condition 1 names the least attack between in/undec arguments other
+    than an undec-undec one; condition 2 the least out argument with no
+    in-labelled attacker or target. Returns the `Certificate`, or None.
+    """
+    from prefarg import Certificate
+
+    in_args, out_args = labelling.in_args, labelling.out_args
+    inner = ((s, d) for s, d in framework.attacks if s not in out_args and d not in out_args)
+    attack = min(((s, d) for s, d in inner if s in in_args or d in in_args), default=None)
+    if attack is not None:
+        return Certificate(1, attack, "attack between in/undec labelled arguments")
+    neighbours = {a: set() for a in framework.arguments}
+    for s, d in framework.attacks:
+        neighbours[s].add(d)
+        neighbours[d].add(s)
+    name = min((a for a in out_args if in_args.isdisjoint(neighbours[a])), default=None)
+    if name is not None:
+        return Certificate(2, (name,), "out argument with no in-labelled neighbour")
+    return None
 
 
 def reference_rank_detail(framework: Framework, in_args: frozenset[str], undec: frozenset[str]):

@@ -114,11 +114,12 @@ def test_solve_on_complete_instance_emits_trivial_witness(example1_files, capsys
 
 def test_solve_refuses_an_unverified_witness(tmp_path, two_arg_file, capsys, monkeypatch):
     from prefarg import Decision, PreferenceOrder
+    from prefarg.solvers import DECIDERS
 
-    def broken_decide(framework, labelling, reduction):
-        return Decision(True, reduction, witness=PreferenceOrder([("a", "b")]))
+    def broken_decider(framework, labelling, **shared):
+        return Decision(True, 1, witness=PreferenceOrder([("a", "b")]))
 
-    monkeypatch.setattr("prefarg.cli.decide", broken_decide)
+    monkeypatch.setitem(DECIDERS, 1, broken_decider)
     lab = write(tmp_path, "l2.json", L2_JSON)
     code = main(["solve", "--framework", str(two_arg_file), "--labelling", str(lab), "--reduction", "1"])
     captured = capsys.readouterr()
@@ -200,6 +201,19 @@ def test_oracle_matches_decide(tmp_path, two_arg_file, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "yes"
     code = main(["oracle", "--framework", str(two_arg_file), "--labelling", str(lab), "--reduction", "1"])
     assert code == 1
+
+
+def test_oracle_text_no_verdict_says_no_order_works(tmp_path, two_arg_file, capsys):
+    lab = write(tmp_path, "l2.json", L2_JSON)
+    argv = ["oracle", "--framework", str(two_arg_file), "--labelling", str(lab), "--reduction", "4"]
+    assert main(argv + ["--format", "text"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "NO (reduction 4) no CC-wise order makes the labelling complete\n"
+    assert "Traceback" not in captured.err
+    assert main(argv) == 1
+    assert capsys.readouterr().out == (
+        '{"verdict": "no", "reduction": 4, "witness": null, "certificate": null}\n'
+    )
 
 
 def test_oracle_respects_size_cap(example1_files, capsys, monkeypatch):
@@ -300,6 +314,29 @@ def test_batch_mode_reports_a_bad_pair_and_goes_on(tmp_path, capsys):
     assert "unrecognised content" in lines[0]["error"]
     assert lines[1]["instance"] == "good"
     assert lines[1]["verdict"] == "yes"
+
+
+def test_batch_lines_are_the_single_file_lines_led_by_the_instance(tmp_path, capsys):
+    fdir = tmp_path / "frameworks"
+    ldir = tmp_path / "labellings"
+    fdir.mkdir()
+    ldir.mkdir()
+    pairs = {
+        "one": (EXAMPLE1_APX, '{"in": ["d"], "out": ["c"], "undec": ["a", "b"]}'),
+        "two": (TWO_ARG_APX, L3_JSON),
+    }
+    expected = []
+    for stem, (apx, lab) in pairs.items():
+        (fdir / f"{stem}.apx").write_text(apx)
+        (ldir / f"{stem}.json").write_text(lab)
+        argv = ["--framework", str(fdir / f"{stem}.apx"), "--labelling", str(ldir / f"{stem}.json")]
+        main(["solve", *argv, "--reduction", "all"])
+        for line in capsys.readouterr().out.splitlines():
+            fields = json.loads(line)
+            del fields["elapsed_ms"]
+            expected.append(json.dumps({"instance": stem, **fields}))
+    main(["solve", "--framework", str(fdir), "--labelling", str(ldir), "--reduction", "all"])
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 DEEP_JSON = "[" * 200_000

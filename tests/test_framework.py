@@ -3,7 +3,16 @@ import random
 import pytest
 
 from conftest import assert_indexed_like_a_checked_build, random_framework
-from prefarg import Framework, UnknownArgumentError, parse_apx
+from prefarg import (
+    Framework,
+    Labelling,
+    PreferenceOrder,
+    UnknownArgumentError,
+    decide_all,
+    is_complete,
+    parse_apx,
+    reduce,
+)
 
 
 def test_attackers_example1(example1):
@@ -143,6 +152,17 @@ def test_unknown_endpoints_name_the_least_attack(seed):
         parse_apx(apx)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_unknown_sources_name_the_least_attack(seed):
+    attacks = [("z", "a"), ("y", "b"), ("a", "b"), ("b", "a")]
+    random.Random(seed).shuffle(attacks)
+    with pytest.raises(UnknownArgumentError, match=r"\(y,b\)"):
+        Framework("ab", attacks)
+    apx = "arg(a). arg(b).\n" + "".join(f"att({s},{t}).\n" for s, t in attacks)
+    with pytest.raises(UnknownArgumentError, match=r"\(y,b\)"):
+        parse_apx(apx)
+
+
 @pytest.mark.parametrize("attacks", [[("a", 1)], [(None, "a")], [("a", 2), (1.5, "a")]])
 def test_non_string_endpoints_are_unknown_arguments(attacks):
     with pytest.raises(UnknownArgumentError):
@@ -158,6 +178,28 @@ def test_getters_hand_out_frozen_copies_of_the_tables():
                 assert type(got) is frozenset
                 assert got == table[name]
                 assert got is not table[name]
+
+
+def test_target_table_is_built_on_first_read():
+    rng = random.Random(63)
+    for _ in range(30):
+        fw = random_framework(rng, rng.randrange(0, 8), rng.random() * 0.5)
+        again = Framework(fw.arguments, fw.attacks)
+        assert "_targets" not in vars(fw) and "_targets" not in vars(again)
+        for name in fw.arguments:
+            assert fw.targets(name) == {t for s, t in fw.attacks if s == name}
+        assert_indexed_like_a_checked_build(again)
+
+
+def test_rejection_checks_and_reduced_graphs_leave_the_target_table_unbuilt():
+    fw = Framework("abc", [("a", "b"), ("b", "c"), ("c", "a")])
+    # Condition 1 fails at (c,a) under the first labelling, condition 2 at a under the second.
+    for lab in (Labelling(in_args="a", undec_args="bc"), Labelling(out_args="abc")):
+        assert [d.yes for d in decide_all(fw, lab, (1, 2, 3, 4))] == [False] * 4
+    assert "_targets" not in vars(fw)
+    reduced = reduce(fw, PreferenceOrder([("a",), ("b",), ("c",)]), 1)
+    is_complete(reduced, Labelling(in_args="c", out_args="a", undec_args="b"))
+    assert "_targets" not in vars(reduced)
 
 
 def undirected_distances(fw: Framework, seeds, within) -> dict[str, int]:

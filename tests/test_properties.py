@@ -1,8 +1,9 @@
-"""Property tests on small frameworks: the reduction-4 ranking and decider, and format round trips."""
+"""Property tests on small frameworks: the deciders against the oracle and the
+reference scans, the reduction-4 ranking, and format round trips."""
 
 import pytest
 
-from conftest import ex4_certificate_holds, kleene_rank
+from conftest import ex4_certificate_holds, kleene_rank, reference_conditions_1_2
 from prefarg import (
     Certificate,
     Decision,
@@ -10,6 +11,9 @@ from prefarg import (
     Labelling,
     PreferenceFunction,
     PreferenceOrder,
+    brute_force_ex,
+    decide,
+    decide_all,
     decide_ex4,
     emit_apx,
     emit_labelling,
@@ -25,6 +29,8 @@ from prefarg import (
     rank,
     verify_witness,
 )
+from prefarg.reductions import REDUCTIONS
+from prefarg.solvers import _conditions_1_2
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -36,13 +42,13 @@ PROPERTY_SETTINGS = hypothesis.settings(
 
 
 @st.composite
-def instances(draw, labels=("in", "out", "undec")):
-    """Up to 7 arguments, self-attacks and isolated arguments included, and a labelling.
+def instances(draw, labels=("in", "out", "undec"), size=len(NAMES)):
+    """Up to `size` (at most 7) arguments, self-attacks and isolated ones included, and a labelling.
 
     The labelling is random, or the grounded one with one or two labels
     redrawn, unless that uses a label outside `labels`.
     """
-    names = NAMES[: draw(st.integers(0, len(NAMES)))]
+    names = NAMES[: draw(st.integers(0, size))]
     pairs = [(s, t) for s in names for t in names]
     framework = Framework(names, draw(st.sets(st.sampled_from(pairs))) if pairs else ())
     marks = draw(st.lists(st.sampled_from(labels), min_size=len(names), max_size=len(names)))
@@ -77,6 +83,29 @@ def test_ex4_yes_witnesses_verify_and_no_certificates_hold(instance):
         assert verify_witness(fw, lab, 4, decision.witness)
     else:
         assert ex4_certificate_holds(fw, lab, decision.certificate)
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(instances())
+def test_conditions_1_2_match_the_attack_scan(instance):
+    fw, lab = instance
+    assert _conditions_1_2(fw, lab) == reference_conditions_1_2(fw, lab)
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(instances(), st.lists(st.sampled_from(REDUCTIONS), max_size=6))
+def test_decide_all_matches_separate_calls_in_any_order(instance, reductions):
+    fw, lab = instance
+    assert list(decide_all(fw, lab, reductions)) == [decide(fw, lab, r) for r in reductions]
+
+
+# Five arguments keep each instance's exhaustive search at 541 orders or fewer.
+@hypothesis.settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@hypothesis.given(instances(size=5))
+def test_deciders_agree_with_the_oracle(instance):
+    fw, lab = instance
+    for reduction in REDUCTIONS:
+        assert decide(fw, lab, reduction).yes == brute_force_ex(fw, lab, reduction)[0]
 
 
 ROUND_TRIP_SETTINGS = hypothesis.settings(

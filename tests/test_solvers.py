@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -19,6 +20,7 @@ from prefarg import (
     PreferenceOrder,
     brute_force_ex,
     decide,
+    decide_all,
     decide_ex1,
     decide_ex2,
     decide_ex3,
@@ -28,6 +30,7 @@ from prefarg import (
     rank,
     verify_witness,
 )
+from prefarg import solvers
 from prefarg.solvers import _rank_detail
 
 L1 = Labelling(undec_args="ab")
@@ -563,6 +566,31 @@ def test_decider_witnesses_verify_on_random_instances():
 def test_decide_rejects_bad_reduction(two_arg):
     with pytest.raises(ValueError):
         decide(two_arg, L1, 0)
+    with pytest.raises(ValueError):
+        list(decide_all(two_arg, L1, [1, 5]))
+
+
+def test_decide_all_runs_each_check_once_and_keeps_nothing(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        solvers, "completeness_violation", counted("completeness", solvers.completeness_violation)
+    )
+    monkeypatch.setattr(solvers, "_conditions_1_2", counted("conditions", solvers._conditions_1_2))
+    fw, lab = Framework("ab", [("a", "b")]), Labelling(undec_args="ab")
+    decisions = list(decide_all(fw, lab, (4, 3, 2, 1, 3)))
+    assert [d.yes for d in decisions] == [False, True, False, False, True]
+    assert calls == {"completeness": 1, "conditions": 1}
+    kept = weakref.ref(fw), weakref.ref(lab)
+    del fw, lab
+    assert [ref() for ref in kept] == [None, None]
 
 
 def test_deciders_reject_partial_labellings(example1):
