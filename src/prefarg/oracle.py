@@ -6,8 +6,10 @@ from typing import Iterable, Iterator
 from .errors import SizeLimitError
 from .framework import Framework
 from .preferences import PreferenceOrder
-from .reductions import reduce
-from .semantics import Labelling, is_complete, require_total
+from .reductions import _reduced_complete
+# Unused here: benchmarks/tracing.py patches `reduce` under this name.
+from .reductions import reduce  # noqa: F401
+from .semantics import Labelling, require_total
 
 DEFAULT_COMPONENT_CAP = 8
 
@@ -36,18 +38,24 @@ def weak_orders(items: Iterable[str]) -> Iterator[tuple[frozenset[str], ...]]:
     yield from build(len(elements))
 
 
-def enumerate_orders(
-    framework: Framework, component_cap: int = DEFAULT_COMPONENT_CAP
-) -> Iterator[PreferenceOrder]:
-    """Every CC-wise total order, as independent weak orders per component."""
+def _weak_order_pools(
+    framework: Framework, component_cap: int
+) -> list[tuple[tuple[frozenset[str], ...], ...]]:
+    """Every weak order of each component, components in `connected_components()` order."""
     components = framework.connected_components()
     for component in components:
         if len(component) > component_cap:
             raise SizeLimitError(
                 f"component of {len(component)} arguments exceeds the cap of {component_cap}"
             )
-    pools = [tuple(weak_orders(component)) for component in components]
-    for combo in itertools.product(*pools):
+    return [tuple(weak_orders(component)) for component in components]
+
+
+def enumerate_orders(
+    framework: Framework, component_cap: int = DEFAULT_COMPONENT_CAP
+) -> Iterator[PreferenceOrder]:
+    """Every CC-wise total order, as independent weak orders per component."""
+    for combo in itertools.product(*_weak_order_pools(framework, component_cap)):
         yield PreferenceOrder(tuple(itertools.chain.from_iterable(combo)))
 
 
@@ -57,9 +65,23 @@ def brute_force_ex(
     reduction: int,
     component_cap: int = DEFAULT_COMPONENT_CAP,
 ) -> tuple[bool, PreferenceOrder | None]:
-    """Search every order; return the first one making the labelling complete."""
+    """Search every order; return the first one making the labelling complete.
+
+    Orders are tried in `enumerate_orders` order. Each one is checked as a
+    rank map merged from per-component level maps, and only the first that
+    passes is built as a `PreferenceOrder`.
+    """
     require_total(framework, labelling)
-    for order in enumerate_orders(framework, component_cap):
-        if is_complete(reduce(framework, order, reduction), labelling):
-            return True, order
+    pools = _weak_order_pools(framework, component_cap)
+    levels = [
+        [{name: level for level, cls in enumerate(order) for name in cls} for order in pool]
+        for pool in pools
+    ]
+    for combo in itertools.product(*(range(len(pool)) for pool in pools)):
+        rank: dict[str, int] = {}
+        for maps, i in zip(levels, combo):
+            rank.update(maps[i])
+        if _reduced_complete(framework, labelling, rank, reduction):
+            classes = (pool[i] for pool, i in zip(pools, combo))
+            return True, PreferenceOrder(tuple(itertools.chain.from_iterable(classes)))
     return False, None

@@ -5,14 +5,12 @@ the losing side of a mutual attack, 3 is the union of 1 and 2, and 4 deletes
 every attack from a strictly less preferred source.
 """
 
-from .errors import InconsistentPreferenceError, InvalidOrderError, WpsgConstraintError
+from .errors import InvalidOrderError, WpsgConstraintError
 from .framework import Framework
-from .preferences import (
-    PreferenceFunction,
-    PreferenceOrder,
-    consistency_certificate,
-    validate_order,
-)
+from .preferences import PreferenceFunction, PreferenceOrder, pref_fn_to_order
+# benchmarks/tracing.py patches `validate_order` under this name.
+from .preferences import validate_order
+from .semantics import Labelling, _violators
 
 REDUCTIONS = (1, 2, 3, 4)
 
@@ -22,29 +20,48 @@ def _check_index(index: int) -> None:
         raise ValueError(f"reduction index must be one of {REDUCTIONS}, got {index!r}")
 
 
-def _defeat_graph(framework: Framework, down, index: int) -> Framework:
-    """Reduction `index` given the attacks whose source is strictly below its target.
+def _reduced_attackers(framework: Framework, rank, index: int):
+    """Each argument's attackers after reduction `index`, read off the input's index.
 
-    Every reduction keeps the other attacks; 1 and 3 add the converse of each
-    down attack, and 2 and 3 keep the down attacks that have no converse.
+    Returns a function from an argument to a fresh set. `rank` maps every
+    argument to its level, higher preferred; only levels within one
+    component are compared. Reduction 4 keeps the attackers ranked at or
+    above the argument, 2 also the lower-ranked ones whose attack has no
+    converse, 1 adds the targets ranked above it (reflected attacks), and 3
+    is 2's set plus those targets.
     """
-    attacks = framework.attacks
-    kept = attacks - down
-    if index in (1, 3):
-        kept |= {(dst, src) for src, dst in down}
-    if index in (2, 3):
-        kept |= {(src, dst) for src, dst in down if (dst, src) not in attacks}
-    return Framework._derived(framework.arguments, kept)
+    _check_index(index)
+    attackers, targets = framework._attackers, framework._targets
+    one_way, reflected = index in (2, 3), index in (1, 3)
+
+    def kept(name: str) -> set[str]:
+        level, sources, beaten = rank[name], attackers[name], targets[name]
+        found = {s for s in sources if rank[s] >= level}
+        if one_way:
+            found |= sources - beaten
+        if reflected:
+            found |= {t for t in beaten if rank[t] > level}
+        return found
+
+    return kept
+
+
+def _reduced_complete(framework: Framework, labelling: Labelling, rank, index: int) -> bool:
+    """Whether the total labelling is complete after reduction `index` under `rank`.
+
+    Stops at the first argument that breaks a clause; no reduced framework
+    is built.
+    """
+    return next(_violators(labelling, _reduced_attackers(framework, rank, index)), None) is None
 
 
 def reduce(framework: Framework, order: PreferenceOrder, index: int) -> Framework:
     """Apply reduction `index` to the framework under the given order."""
-    _check_index(index)
     if not validate_order(framework, order):
         raise InvalidOrderError("order is not a CC-wise total order on the framework")
-    rank = order._rank
-    down = {(a, b) for a, b in framework.attacks if rank[a] < rank[b]}
-    return _defeat_graph(framework, down, index)
+    kept = _reduced_attackers(framework, order._rank, index)
+    attacks = frozenset((src, dst) for dst in framework.arguments for src in kept(dst))
+    return Framework._derived(framework.arguments, attacks)
 
 
 def graph_from_pref_fn(
@@ -56,22 +73,18 @@ def graph_from_pref_fn(
 ) -> Framework:
     """Defeat graph induced directly by a consistent preference function.
 
-    The 0-bit attacks are the ones whose source is strictly below its target,
-    so the function feeds the same kernel as `reduce`. Reduction 2 keeps
-    one-way attacks whatever their bit; pass strict=True to reject a 0 bit on
-    one of them instead.
+    The canonical order realising a consistent function puts an attack's
+    source strictly below its target exactly on the 0-bit attacks, so the
+    function reduces as that order does. Reduction 2 keeps one-way attacks
+    whatever their bit; pass strict=True to reject a 0 bit on one of them
+    instead.
     """
     _check_index(index)
-    certificate = consistency_certificate(framework, fn)
-    if certificate is not None:
-        raise InconsistentPreferenceError(
-            "preference function has an inconsistent cycle", cycle=certificate
-        )
-    down = fn.zero_attacks
+    order = pref_fn_to_order(framework, fn)
     if index == 2 and strict:
-        offenders = sorted((s, t) for s, t in down if (t, s) not in framework.attacks)
+        offenders = sorted((s, t) for s, t in fn.zero_attacks if (t, s) not in framework.attacks)
         if offenders:
             raise WpsgConstraintError(
                 f"one-way attacks mapped to 0 under reduction 2: {offenders}"
             )
-    return _defeat_graph(framework, down, index)
+    return reduce(framework, order, index)

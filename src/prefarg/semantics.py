@@ -1,7 +1,7 @@
 """Complete labellings: verification, the grounded fixpoint, and enumeration."""
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainMismatchError, SizeLimitError, UnknownArgumentError
 from .framework import Framework
@@ -67,38 +67,58 @@ class Violation:
 
 
 def require_total(framework: Framework, labelling: Labelling) -> None:
-    """Raise unless the labelling covers the framework's arguments exactly."""
-    if labelling.arguments() != framework.arguments:
-        missing = sorted(framework.arguments - labelling.arguments())
-        extra = sorted(labelling.arguments() - framework.arguments)
+    """Raise unless the labelling covers the framework's arguments exactly.
+
+    The three label sets are disjoint, so they cover the arguments exactly
+    when their sizes add up and each lies inside the arguments.
+    """
+    arguments = framework.arguments
+    parts = (labelling.in_args, labelling.out_args, labelling.undec_args)
+    if sum(map(len, parts)) != len(arguments) or not all(map(arguments.issuperset, parts)):
+        missing = sorted(arguments - labelling.arguments())
+        extra = sorted(labelling.arguments() - arguments)
         raise DomainMismatchError(
             f"labelling does not match the framework (missing {missing}, extra {extra})"
         )
 
 
+def _violators(labelling: Labelling, attackers_of) -> Iterator[str]:
+    """The arguments that break a completeness clause, lazily, given each one's attackers.
+
+    Every argument's clause is the one of its label: 1 for in, 2 for out, 3
+    for undec. Reads `attackers_of(name)` for the labelled arguments only.
+    """
+    in_args, out_args = labelling.in_args, labelling.out_args
+    for name in in_args:
+        if not attackers_of(name) <= out_args:
+            yield name
+    for name in out_args:
+        if in_args.isdisjoint(attackers_of(name)):
+            yield name
+    for name in labelling.undec_args:
+        attackers = attackers_of(name)
+        if attackers <= out_args or not in_args.isdisjoint(attackers):
+            yield name
+
+
 def completeness_violation(framework: Framework, labelling: Labelling) -> Violation | None:
-    """Check the three completeness clauses; report the first failure.
+    """Check the three completeness clauses; report the least violating argument.
 
     Clause 1: an argument is in exactly when all its attackers are out.
     Clause 2: an argument is out exactly when some attacker is in.
     Clause 3: an argument is undec exactly when neither of the above holds.
     """
     require_total(framework, labelling)
-    in_args, out_args = labelling.in_args, labelling.out_args
-    for name in sorted(framework.arguments):
-        attackers = framework._attackers[name]
-        all_out = attackers <= out_args
-        some_in = bool(attackers & in_args)
-        if name in in_args:
-            if not all_out:
-                return Violation(name, 1, f"{name} is in but has a non-out attacker")
-        elif name in out_args:
-            if not some_in:
-                return Violation(name, 2, f"{name} is out but has no in attacker")
-        elif all_out or some_in:
-            reason = "all attackers out" if all_out else "an in attacker"
-            return Violation(name, 3, f"{name} is undec but has {reason}")
-    return None
+    name = min(_violators(labelling, framework._attackers.__getitem__), default=None)
+    if name is None:
+        return None
+    if name in labelling.in_args:
+        return Violation(name, 1, f"{name} is in but has a non-out attacker")
+    if name in labelling.out_args:
+        return Violation(name, 2, f"{name} is out but has no in attacker")
+    all_out = framework._attackers[name] <= labelling.out_args
+    reason = "all attackers out" if all_out else "an in attacker"
+    return Violation(name, 3, f"{name} is undec but has {reason}")
 
 
 def is_complete(framework: Framework, labelling: Labelling) -> bool:

@@ -13,11 +13,15 @@ from typing import Iterable, Iterator
 
 from .errors import DomainMismatchError, InvalidOrderError
 from .framework import Framework
-from .preferences import PreferenceOrder, order_by_depth, validate_order
+from .preferences import PreferenceOrder, order_by_depth
+# benchmarks/tracing.py patches `validate_order` under this name.
+from .preferences import validate_order
 # Unused here: benchmarks/tracing.py patches `pref_fn_to_order` under this name.
 from .preferences import pref_fn_to_order  # noqa: F401
-from .reductions import reduce
-from .semantics import Labelling, Violation, completeness_violation, is_complete, require_total
+from .reductions import _reduced_complete
+# Unused here: benchmarks/tracing.py patches `reduce` under this name.
+from .reductions import reduce  # noqa: F401
+from .semantics import Labelling, Violation, completeness_violation, require_total
 
 
 @dataclass(frozen=True)
@@ -341,7 +345,12 @@ def decide_all(
 def verify_witness(
     framework: Framework, labelling: Labelling, reduction: int, order: PreferenceOrder
 ) -> bool:
-    """True when the labelling is complete on the reduced framework."""
+    """True when the labelling is complete on the reduced framework.
+
+    Reads the reduced attacker sets off the input's index; no reduced
+    framework is built.
+    """
     if not validate_order(framework, order):
         raise InvalidOrderError("witness is not a CC-wise total order on the framework")
-    return is_complete(reduce(framework, order, reduction), labelling)
+    require_total(framework, labelling)
+    return _reduced_complete(framework, labelling, order._rank, reduction)

@@ -167,6 +167,22 @@ def reference_reduce(framework: Framework, order: PreferenceOrder, index: int) -
     return Framework(names, [(a, b) for a in names for b in names if member(a, b)])
 
 
+def reference_brute_force_ex(framework: Framework, labelling: Labelling, reduction: int):
+    """The exhaustive oracle written plainly: build, reduce and check every enumerated order.
+
+    Returns the first order of `enumerate_orders` under which the reduced
+    framework makes the labelling complete, as `(True, order)`, or
+    `(False, None)`.
+    """
+    from prefarg import enumerate_orders, is_complete, reduce, require_total
+
+    require_total(framework, labelling)
+    for order in enumerate_orders(framework):
+        if is_complete(reduce(framework, order, reduction), labelling):
+            return True, order
+    return False, None
+
+
 def assert_indexed_like_a_checked_build(graph: Framework) -> None:
     """The graph's index agrees with its attack set and with a fresh checked build."""
     fresh = Framework(graph.arguments, graph.attacks)

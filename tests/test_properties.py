@@ -3,8 +3,17 @@ reference scans, the reduction-4 ranking, and format round trips."""
 
 import pytest
 
-from conftest import ex4_certificate_holds, kleene_rank, reference_conditions_1_2
+from conftest import (
+    ex4_certificate_holds,
+    kleene_rank,
+    reference_brute_force_ex,
+    reference_conditions_1_2,
+    reference_reduce,
+)
 from prefarg import (
+    IN,
+    OUT,
+    UNDEC,
     Certificate,
     Decision,
     Framework,
@@ -12,6 +21,7 @@ from prefarg import (
     PreferenceFunction,
     PreferenceOrder,
     brute_force_ex,
+    completeness_violation,
     decide,
     decide_all,
     decide_ex4,
@@ -21,15 +31,17 @@ from prefarg import (
     emit_pref_fn,
     emit_result,
     grounded_labelling,
+    is_complete,
     parse_apx,
     parse_labelling,
     parse_order,
     parse_pref_fn,
     parse_result,
     rank,
+    reduce,
     verify_witness,
 )
-from prefarg.reductions import REDUCTIONS
+from prefarg.reductions import REDUCTIONS, _reduced_complete
 from prefarg.solvers import _conditions_1_2
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -108,6 +120,25 @@ def test_deciders_agree_with_the_oracle(instance):
         assert decide(fw, lab, reduction).yes == brute_force_ex(fw, lab, reduction)[0]
 
 
+@PROPERTY_SETTINGS
+@hypothesis.given(instances())
+def test_completeness_violation_names_the_least_violator(instance):
+    fw, lab = instance
+    clause_of = {IN: 1, OUT: 2, UNDEC: 3}
+
+    def broken(name):
+        attackers = {s for s, t in fw.attacks if t == name}
+        all_out, some_in = attackers <= lab.out_args, bool(attackers & lab.in_args)
+        return {IN: not all_out, OUT: not some_in, UNDEC: all_out or some_in}[lab.label(name)]
+
+    least = min(filter(broken, fw.arguments), default=None)
+    violation = completeness_violation(fw, lab)
+    if least is None:
+        assert violation is None
+    else:
+        assert (violation.argument, violation.clause) == (least, clause_of[lab.label(least)])
+
+
 ROUND_TRIP_SETTINGS = hypothesis.settings(
     derandomize=True, max_examples=100, deadline=None, database=None
 )
@@ -161,3 +192,68 @@ def test_every_format_reads_back_what_it_writes(data):
     decision = data.draw(decisions(fw))
     assert parse_result(emit_result(decision)) == decision
     assert parse_result(emit_result(decision, elapsed_ms=1.5)) == decision
+
+
+ORDERED_BELL = (1, 1, 3, 13, 75)
+BLOCK_NAMES = tuple("abcdefghijkl")
+
+
+@st.composite
+def blocks(draw, max_orders=ORDERED_BELL[4] ** 3):
+    """1-3 blocks of 1-4 arguments, each attack inside one block.
+
+    Every argument may attack itself, and every pair of a block is joined
+    by no attack, one either way, or a mutual pair. The product of the
+    blocks' ordered Bell numbers, the oracle's order count when no block
+    falls apart, stays at most `max_orders`.
+    """
+    names = iter(BLOCK_NAMES)
+    arguments, attacks = [], []
+    budget = max_orders
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, max(k for k in range(1, 5) if ORDERED_BELL[k] <= budget)))
+        budget //= ORDERED_BELL[size]
+        block = [next(names) for _ in range(size)]
+        arguments += block
+        attacks += [(a, a) for a in block if draw(st.booleans())]
+        for i, a in enumerate(block):
+            for b in block[i + 1 :]:
+                kind = draw(st.sampled_from(("none", "forward", "back", "mutual")))
+                attacks += [(a, b)] if kind in ("forward", "mutual") else []
+                attacks += [(b, a)] if kind in ("back", "mutual") else []
+    return Framework(arguments, attacks)
+
+
+def labellings(framework: Framework):
+    """Random total labellings of the framework."""
+    label, names = st.sampled_from((IN, OUT, UNDEC)), sorted(framework.arguments)
+    return st.fixed_dictionaries(dict.fromkeys(names, label)).map(Labelling.from_map)
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(st.data())
+def test_reduced_attackers_match_the_literal_reduction(data):
+    fw = data.draw(blocks())
+    order = data.draw(orders(fw))
+    references = {r: reference_reduce(fw, order, r) for r in REDUCTIONS}
+    # The grounded labelling of each reduced graph is complete under that reduction.
+    candidates = [data.draw(labellings(fw))]
+    candidates += [grounded_labelling(graph) for graph in references.values()]
+    for r, reference in references.items():
+        assert reduce(fw, order, r) == reference
+        for lab in candidates:
+            assert _reduced_complete(fw, lab, order._rank, r) == is_complete(reference, lab)
+
+
+# At most 1000 orders per search, 975 for blocks of 4 and 3, keep the reference oracle quick.
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@hypothesis.given(st.data())
+def test_oracle_matches_the_reduce_based_reference(data):
+    fw = data.draw(blocks(max_orders=1000))
+    if data.draw(st.booleans()):
+        lab = data.draw(labellings(fw))
+    else:
+        graph = reference_reduce(fw, data.draw(orders(fw)), data.draw(st.sampled_from(REDUCTIONS)))
+        lab = grounded_labelling(graph)
+    for r in REDUCTIONS:
+        assert brute_force_ex(fw, lab, r) == reference_brute_force_ex(fw, lab, r)
