@@ -111,11 +111,13 @@ def _run_batch(args, verified: bool) -> int:
     """Directory mode: instances paired by stem, one JSON line per verdict.
 
     A pair that cannot be read or decided gets one error line instead, the
-    batch goes on, and the run ends with exit 2.
+    batch goes on, and the run ends with exit 2. `--format text` is refused.
     """
     framework_dir, labelling_dir = Path(args.framework), Path(args.labelling)
     if not (framework_dir.is_dir() and labelling_dir.is_dir()):
         raise PrefargError("batch mode needs both --framework and --labelling directories")
+    if args.format != "json":
+        raise PrefargError("batch mode writes JSON lines only; --format text needs single files")
     frameworks = {p.stem: p for p in sorted(framework_dir.iterdir()) if p.suffix == ".apx"}
     labellings = {p.stem: p for p in sorted(labelling_dir.iterdir()) if p.suffix == ".json"}
     stems = sorted(set(frameworks) & set(labellings))

@@ -160,7 +160,3 @@ class Framework:
     def has_cycle(self) -> bool:
         """True when a directed attack cycle exists; self-attacks count."""
         return bool(self._cyclic_core(self.arguments))
-
-    def bidirectional_attacks(self) -> frozenset[Attack]:
-        """Attacks whose converse is also an attack; self-attacks qualify."""
-        return frozenset((s, t) for s, t in self.attacks if (t, s) in self.attacks)

@@ -152,6 +152,14 @@ def emit_pref_fn(fn: PreferenceFunction) -> str:
 
 
 _DOT_COLOURS = {IN: "green", OUT: "red", UNDEC: "gray"}
+_DOT_KEYWORDS = frozenset(("node", "edge", "graph", "digraph", "subgraph", "strict"))
+
+
+def _dot_id(name: str) -> str:
+    """The name as a DOT ID: quoted if a keyword, or if it starts with a digit but is no numeral."""
+    if name.lower() in _DOT_KEYWORDS or (name[0].isdigit() and not name.isdigit()):
+        return f'"{name}"'
+    return name
 
 
 def emit_dot(
@@ -159,20 +167,22 @@ def emit_dot(
     labelling: Labelling | None = None,
     highlight: Iterable[Attack] = (),
 ) -> str:
-    """DOT digraph, nodes coloured green/red/gray when a labelling is given."""
+    """DOT digraph, nodes coloured green/red/gray when a labelling is given.
+
+    Names that DOT would misread, its keywords in any case and names that
+    start with a digit but are not all digits, are written quoted.
+    """
     lines = ["digraph framework {"]
     for name in sorted(framework.arguments):
         if labelling is None:
-            lines.append(f"  {name};")
+            lines.append(f"  {_dot_id(name)};")
         else:
             colour = _DOT_COLOURS[labelling.label(name)]
-            lines.append(f"  {name} [style=filled fillcolor={colour}];")
+            lines.append(f"  {_dot_id(name)} [style=filled fillcolor={colour}];")
     marked = {tuple(e) for e in highlight}
     for src, dst in sorted(framework.attacks):
-        if (src, dst) in marked:
-            lines.append(f"  {src} -> {dst} [color=red];")
-        else:
-            lines.append(f"  {src} -> {dst};")
+        edge = f"  {_dot_id(src)} -> {_dot_id(dst)}"
+        lines.append(f"{edge} [color=red];" if (src, dst) in marked else f"{edge};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -5,7 +5,7 @@ from typing import Iterable, Iterator
 
 from .errors import SizeLimitError
 from .framework import Framework
-from .preferences import PreferenceOrder
+from .preferences import PreferenceOrder, order_by_depth
 from .reductions import _reduced_complete
 # Unused here: benchmarks/tracing.py patches `reduce` under this name.
 from .reductions import reduce  # noqa: F401
@@ -69,19 +69,17 @@ def brute_force_ex(
 
     Orders are tried in `enumerate_orders` order. Each one is checked as a
     rank map merged from per-component level maps, and only the first that
-    passes is built as a `PreferenceOrder`.
+    passes is built, by `order_by_depth`, as a `PreferenceOrder`.
     """
     require_total(framework, labelling)
-    pools = _weak_order_pools(framework, component_cap)
     levels = [
         [{name: level for level, cls in enumerate(order) for name in cls} for order in pool]
-        for pool in pools
+        for pool in _weak_order_pools(framework, component_cap)
     ]
-    for combo in itertools.product(*(range(len(pool)) for pool in pools)):
+    for level_maps in itertools.product(*levels):
         rank: dict[str, int] = {}
-        for maps, i in zip(levels, combo):
-            rank.update(maps[i])
+        for level_of in level_maps:
+            rank.update(level_of)
         if _reduced_complete(framework, labelling, rank, reduction):
-            classes = (pool[i] for pool, i in zip(pools, combo))
-            return True, PreferenceOrder(tuple(itertools.chain.from_iterable(classes)))
+            return True, order_by_depth(framework, {a: -level for a, level in rank.items()})
     return False, None

@@ -11,12 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .errors import (
-    DomainMismatchError,
-    InconsistentPreferenceError,
-    InvalidOrderError,
-    UnknownArgumentError,
-)
+from .errors import DomainMismatchError, InconsistentPreferenceError, InvalidOrderError
 from .framework import Attack, Framework
 
 
@@ -45,18 +40,6 @@ class PreferenceOrder:
 
     def arguments(self) -> frozenset[str]:
         return frozenset(self._rank)
-
-    def rank(self, name: str) -> int:
-        try:
-            return self._rank[name]
-        except KeyError:
-            raise UnknownArgumentError(
-                f"argument {name!r} is not covered by the order"
-            ) from None
-
-    def lt(self, a: str, b: str) -> bool:
-        """a is strictly less preferred than b (same-component pairs only)."""
-        return self.rank(a) < self.rank(b)
 
     @classmethod
     def all_equivalent(cls, framework: Framework) -> "PreferenceOrder":
@@ -216,9 +199,8 @@ def order_to_pref_fn(framework: Framework, order: PreferenceOrder) -> Preference
     """Bit 0 on attacks whose source is strictly below the target, else 1."""
     if not validate_order(framework, order):
         raise InvalidOrderError("order is not a CC-wise total order on the framework")
-    return PreferenceFunction(
-        {(s, t): 0 if order.lt(s, t) else 1 for s, t in framework.attacks}
-    )
+    rank = order._rank
+    return PreferenceFunction({(s, t): 0 if rank[s] < rank[t] else 1 for s, t in framework.attacks})
 
 
 def pref_fn_to_order(framework: Framework, fn: PreferenceFunction) -> PreferenceOrder:

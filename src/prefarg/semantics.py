@@ -153,7 +153,10 @@ def enumerate_complete(
 
     The grounded labels are forced and fixed up front; the remaining
     arguments are branched over {in, out, undec} with pruning as soon as a
-    clause is unsatisfiable. Refuses frameworks above `cap` arguments.
+    clause is unsatisfiable. Every leaf is complete: the grounded labels
+    satisfy their clauses, and each other argument's clause was checked once
+    all of its attackers were assigned. Refuses frameworks above `cap`
+    arguments.
     """
     count = len(framework.arguments)
     if count > cap:
@@ -190,9 +193,7 @@ def enumerate_complete(
 
     def search(index: int) -> None:
         if index == len(free):
-            candidate = Labelling.from_map(assign)
-            if is_complete(framework, candidate):
-                results.append(candidate)
+            results.append(Labelling.from_map(assign))
             return
         name = free[index]
         for label in LABELS:

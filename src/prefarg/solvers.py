@@ -18,7 +18,7 @@ from .preferences import PreferenceOrder, order_by_depth
 from .preferences import validate_order
 # Unused here: benchmarks/tracing.py patches `pref_fn_to_order` under this name.
 from .preferences import pref_fn_to_order  # noqa: F401
-from .reductions import _reduced_complete
+from .reductions import _check_index, _reduced_complete
 # Unused here: benchmarks/tracing.py patches `reduce` under this name.
 from .reductions import reduce  # noqa: F401
 from .semantics import Labelling, Violation, completeness_violation, require_total
@@ -337,8 +337,7 @@ def decide_all(
     """
     checks = _Checks(framework, labelling)
     for reduction in reductions:
-        if reduction not in DECIDERS:
-            raise ValueError(f"reduction index must be 1..4, got {reduction!r}")
+        _check_index(reduction)
         yield DECIDERS[reduction](framework, labelling, checks=checks)
 
 

@@ -297,6 +297,22 @@ def test_batch_mode_pairs_by_stem(tmp_path, capsys):
     assert "orphan" in captured.err
 
 
+def test_batch_mode_refuses_text_format(tmp_path, capsys):
+    fdir = tmp_path / "frameworks"
+    ldir = tmp_path / "labellings"
+    fdir.mkdir()
+    ldir.mkdir()
+    (fdir / "one.apx").write_text(TWO_ARG_APX)
+    (ldir / "one.json").write_text(L1_JSON)
+    for command in ("decide", "solve"):
+        argv = [command, "--framework", str(fdir), "--labelling", str(ldir), "--reduction", "all"]
+        assert main(argv + ["--format", "text"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and "--format text" in captured.err
+
+
 def test_batch_mode_reports_a_bad_pair_and_goes_on(tmp_path, capsys):
     fdir = tmp_path / "frameworks"
     ldir = tmp_path / "labellings"

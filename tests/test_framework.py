@@ -78,25 +78,6 @@ def test_has_cycle_self_attack():
     assert Framework("a", [("a", "a")]).has_cycle()
 
 
-def test_bidirectional_attacks_example1(example1):
-    assert example1.bidirectional_attacks() == {
-        ("a", "c"),
-        ("c", "a"),
-        ("b", "c"),
-        ("c", "b"),
-        ("c", "d"),
-        ("d", "c"),
-    }
-
-
-def test_bidirectional_attacks_one_way():
-    assert Framework("xy", [("x", "y")]).bidirectional_attacks() == frozenset()
-
-
-def test_bidirectional_attacks_self_attack():
-    assert Framework("x", [("x", "x")]).bidirectional_attacks() == {("x", "x")}
-
-
 def test_attack_endpoints_must_exist():
     with pytest.raises(UnknownArgumentError):
         Framework("a", [("a", "b")])

@@ -288,6 +288,24 @@ def test_emit_dot_highlight_and_determinism(example1):
     assert "a -> b [color=red];" in first
 
 
+def test_emit_dot_quotes_keywords_and_names_led_by_a_digit():
+    fw = Framework(["node", "1a", "graph", "Edge", "12", "a1"], [("1a", "graph"), ("node", "12")])
+    out = emit_dot(fw, Labelling(in_args=["1a", "12", "a1", "Edge"], out_args=["graph", "node"]))
+    assert out == (
+        "digraph framework {\n"
+        "  12 [style=filled fillcolor=green];\n"
+        '  "1a" [style=filled fillcolor=green];\n'
+        '  "Edge" [style=filled fillcolor=green];\n'
+        "  a1 [style=filled fillcolor=green];\n"
+        '  "graph" [style=filled fillcolor=red];\n'
+        '  "node" [style=filled fillcolor=red];\n'
+        '  "1a" -> "graph";\n'
+        '  "node" -> 12;\n'
+        "}\n"
+    )
+    assert '  "1a" -> "graph" [color=red];' in emit_dot(fw, highlight=[("1a", "graph")])
+
+
 # --- results -----------------------------------------------------------------
 
 
