@@ -46,8 +46,8 @@ from .semantics import (
     IN,
     OUT,
     UNDEC,
+    Certificate,
     Labelling,
-    Violation,
     completeness_violation,
     enumerate_complete,
     grounded_labelling,
@@ -55,7 +55,6 @@ from .semantics import (
     require_total,
 )
 from .solvers import (
-    Certificate,
     Decision,
     decide,
     decide_all,
@@ -86,7 +85,6 @@ __all__ = [
     "SizeLimitError",
     "UNDEC",
     "UnknownArgumentError",
-    "Violation",
     "WpsgConstraintError",
     "brute_force_ex",
     "completeness_violation",

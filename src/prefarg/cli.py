@@ -27,7 +27,7 @@ from .io_formats import (
     result_payload,
 )
 from .oracle import DEFAULT_COMPONENT_CAP, brute_force_ex
-from .reductions import reduce as apply_reduction
+from .reductions import REDUCTIONS, reduce as apply_reduction
 from .semantics import DEFAULT_LABELLING_CAP, Labelling, enumerate_complete
 from .solvers import Decision, decide_all, verify_witness
 
@@ -66,7 +66,7 @@ def _load_instance(framework_path: str, labelling_path: str):
 
 
 def _reduction_list(value: str) -> list[int]:
-    return [1, 2, 3, 4] if value == "all" else [int(value)]
+    return list(REDUCTIONS) if value == "all" else [int(value)]
 
 
 def _decisions(framework, labelling, reductions: str, verified: bool):
@@ -228,11 +228,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_instance_flags(p, with_all=True):
+    def add_instance_flags(p):
         p.add_argument("--framework", required=True, help="APX file (or directory in batch mode)")
         p.add_argument("--labelling", required=True, help="labelling JSON file (or directory)")
-        choices = ["1", "2", "3", "4"] + (["all"] if with_all else [])
-        p.add_argument("--reduction", required=True, choices=choices)
+        p.add_argument("--reduction", required=True, choices=[*map(str, REDUCTIONS), "all"])
         p.add_argument("--format", choices=["json", "text"], default="json")
 
     p_decide = sub.add_parser("decide", help="decide the inverse problem")
@@ -246,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_reduce = sub.add_parser("reduce", help="apply a reduction under an order file")
     p_reduce.add_argument("--framework", required=True)
     p_reduce.add_argument("--order", required=True, help="order file, one component per line")
-    p_reduce.add_argument("--reduction", required=True, type=int, choices=[1, 2, 3, 4])
+    p_reduce.add_argument("--reduction", required=True, type=int, choices=REDUCTIONS)
     p_reduce.add_argument("--dot", action="store_true", help="emit DOT instead of APX")
     p_reduce.set_defaults(func=_cmd_reduce)
 
@@ -257,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="brute-force verdict over every order")
     p_oracle.add_argument("--framework", required=True)
     p_oracle.add_argument("--labelling", required=True)
-    p_oracle.add_argument("--reduction", required=True, type=int, choices=[1, 2, 3, 4])
+    p_oracle.add_argument("--reduction", required=True, type=int, choices=REDUCTIONS)
     p_oracle.add_argument("--format", choices=["json", "text"], default="json")
     p_oracle.set_defaults(func=_cmd_oracle)
 

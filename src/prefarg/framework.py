@@ -10,7 +10,8 @@ from .errors import UnknownArgumentError
 
 Attack = tuple[str, str]
 
-NAME_PATTERN = re.compile(r"[A-Za-z0-9_]+\Z")
+NAME_CHARS = "[A-Za-z0-9_]"  # an argument name is one or more of these
+NAME_PATTERN = re.compile(f"{NAME_CHARS}+\\Z")
 
 
 @dataclass(frozen=True)

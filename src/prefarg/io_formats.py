@@ -9,15 +9,15 @@ import re
 from typing import Iterable
 
 from .errors import InvalidOrderError, ParseError
-from .framework import NAME_PATTERN, Attack, Framework
+from .framework import NAME_CHARS, NAME_PATTERN, Attack, Framework
 from .preferences import PreferenceFunction, PreferenceOrder, validate_order
 from .reductions import REDUCTIONS
-from .semantics import IN, OUT, UNDEC, Labelling
-from .solvers import Certificate, Decision
+from .semantics import IN, OUT, UNDEC, Certificate, Labelling
+from .solvers import Decision
 
 # A fact sits on one line; `[^\S\n]` is any whitespace but the line break.
 _S = r"[^\S\n]*"
-_NAME = r"([A-Za-z0-9_]+)"
+_NAME = f"({NAME_CHARS}+)"
 _ARG = re.compile(rf"arg\({_S}{_NAME}{_S}\){_S}\.")
 _ATT = re.compile(rf"att\({_S}{_NAME}{_S},{_S}{_NAME}{_S}\){_S}\.")
 _FACT = re.compile(f"{_ARG.pattern}|{_ATT.pattern}")

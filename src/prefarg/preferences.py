@@ -7,7 +7,6 @@ below b). A function is consistent when no chain of these constraints
 closes into a cycle containing a strict step.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -95,47 +94,36 @@ def _strongly_connected(
     """
     index: dict[str, int] = {}
     low: dict[str, int] = {}
-    on_stack: set[str] = set()
     stack: list[str] = []
     component: dict[str, int] = {}
-    counter = 0
     next_id = 0
     for root in nodes:
         if root in index:
             continue
-        index[root] = low[root] = counter
-        counter += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
-        on_stack.add(root)
         work: list[tuple[str, Iterable[str]]] = [(root, iter(successors(root)))]
         while work:
             node, it = work[-1]
-            pushed = False
             for nxt in it:
                 if nxt not in index:
-                    index[nxt] = low[nxt] = counter
-                    counter += 1
+                    index[nxt] = low[nxt] = len(index)
                     stack.append(nxt)
-                    on_stack.add(nxt)
                     work.append((nxt, iter(successors(nxt))))
-                    pushed = True
                     break
-                if nxt in on_stack:
+                if nxt not in component:  # visited but in no component yet: on the stack
                     low[node] = min(low[node], index[nxt])
-            if pushed:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                while True:
-                    top = stack.pop()
-                    on_stack.discard(top)
-                    component[top] = next_id
-                    if top == node:
-                        break
-                next_id += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    top = None
+                    while top != node:
+                        top = stack.pop()
+                        component[top] = next_id
+                    next_id += 1
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
     return component
 
 
@@ -143,13 +131,11 @@ def _bfs_path(start: str, goal: str, successors: Callable[[str], Iterable[str]])
     """Shortest node path from start to goal (inclusive); assumes one exists."""
     if start == goal:
         return [start]
-    parent: dict[str, str] = {}
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
+    parent = {start: start}
+    queue = [start]
+    for node in queue:
         for nxt in sorted(successors(node)):
-            if nxt in seen:
+            if nxt in parent:
                 continue
             parent[nxt] = node
             if nxt == goal:
@@ -157,7 +143,6 @@ def _bfs_path(start: str, goal: str, successors: Callable[[str], Iterable[str]])
                 while path[-1] != start:
                     path.append(parent[path[-1]])
                 return list(reversed(path))
-            seen.add(nxt)
             queue.append(nxt)
     raise AssertionError("no path found inside a strongly connected set")
 

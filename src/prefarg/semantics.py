@@ -58,12 +58,12 @@ class Labelling:
 
 
 @dataclass(frozen=True)
-class Violation:
-    """First argument at which a labelling breaks one of the three clauses."""
+class Certificate:
+    """A failed check: the condition or clause number, the arguments that witness it, and why."""
 
-    argument: str
-    clause: int
-    message: str
+    condition: int
+    witness: tuple[str, ...]
+    detail: str = ""
 
 
 def require_total(framework: Framework, labelling: Labelling) -> None:
@@ -101,8 +101,8 @@ def _violators(labelling: Labelling, attackers_of) -> Iterator[str]:
             yield name
 
 
-def completeness_violation(framework: Framework, labelling: Labelling) -> Violation | None:
-    """Check the three completeness clauses; report the least violating argument.
+def completeness_violation(framework: Framework, labelling: Labelling) -> Certificate | None:
+    """Check the three completeness clauses; certify the least violating argument.
 
     Clause 1: an argument is in exactly when all its attackers are out.
     Clause 2: an argument is out exactly when some attacker is in.
@@ -113,12 +113,12 @@ def completeness_violation(framework: Framework, labelling: Labelling) -> Violat
     if name is None:
         return None
     if name in labelling.in_args:
-        return Violation(name, 1, f"{name} is in but has a non-out attacker")
+        return Certificate(1, (name,), f"{name} is in but has a non-out attacker")
     if name in labelling.out_args:
-        return Violation(name, 2, f"{name} is out but has no in attacker")
+        return Certificate(2, (name,), f"{name} is out but has no in attacker")
     all_out = framework._attackers[name] <= labelling.out_args
     reason = "all attackers out" if all_out else "an in attacker"
-    return Violation(name, 3, f"{name} is undec but has {reason}")
+    return Certificate(3, (name,), f"{name} is undec but has {reason}")
 
 
 def is_complete(framework: Framework, labelling: Labelling) -> bool:

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 
 from .errors import DomainMismatchError, InvalidOrderError
 from .framework import Framework
-from .preferences import PreferenceOrder, order_by_depth
+from .preferences import PreferenceOrder, _strongly_connected, order_by_depth
 # benchmarks/tracing.py patches `validate_order` under this name.
 from .preferences import validate_order
 # Unused here: benchmarks/tracing.py patches `pref_fn_to_order` under this name.
@@ -21,16 +21,7 @@ from .preferences import pref_fn_to_order  # noqa: F401
 from .reductions import _check_index, _reduced_complete
 # Unused here: benchmarks/tracing.py patches `reduce` under this name.
 from .reductions import reduce  # noqa: F401
-from .semantics import Labelling, Violation, completeness_violation, require_total
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Violated condition number plus one witnessing argument or attack."""
-
-    condition: int
-    witness: tuple[str, ...]
-    detail: str = ""
+from .semantics import Certificate, Labelling, completeness_violation, require_total
 
 
 @dataclass(frozen=True)
@@ -84,7 +75,7 @@ class _Checks:
         self.framework, self.labelling = framework, labelling
 
     @cached_property
-    def violation(self) -> Violation | None:
+    def violation(self) -> Certificate | None:
         return completeness_violation(self.framework, self.labelling)
 
     @cached_property
@@ -150,11 +141,7 @@ def decide_ex2(framework: Framework, labelling: Labelling, *, checks=None) -> De
     violation = (checks or _Checks(framework, labelling)).violation
     if violation is None:
         return _trivial_yes(framework, 2)
-    return Decision(
-        False,
-        2,
-        certificate=Certificate(violation.clause, (violation.argument,), violation.message),
-    )
+    return Decision(False, 2, certificate=violation)
 
 
 def decide_ex3(framework: Framework, labelling: Labelling, *, checks=None) -> Decision:
@@ -186,9 +173,10 @@ def _rank_detail(framework: Framework, in_args: frozenset[str], undec: frozenset
     """The least ranking of the in and undec arguments, or the reason none exists.
 
     Every other argument of the framework is skipped. Returns (psi, None)
-    on success and (None, (kind, argument)) on failure: "undec-unattacked"
-    names the least undec argument without an undec attacker, "overflow"
-    the least argument with no finite value.
+    on success and (None, certificate) on failure. The certificate, for
+    condition 2 of reduction 4, names the least undec argument without an
+    undec attacker or, when there is none, the least argument with no finite
+    value.
 
     Values settle in increasing order, one level at a time (Knuth, *A
     generalization of Dijkstra's algorithm*, 1977). An in argument settles
@@ -197,15 +185,18 @@ def _rank_detail(framework: Framework, in_args: frozenset[str], undec: frozenset
     settles at the first level from then on at which an undec attacker has
     settled or it lies on or below a cycle of eligible, unsettled undec
     arguments; such a cycle gets no finite derivation, so it is found by
-    peeling. A cycle new at a level passes through an argument that became
-    eligible there, so each level peels only the forward reach of those.
-    Linear in n + m when no eligible argument waits through several levels
-    (all-in chains among them); O(n * (n + m)) at worst.
+    peeling. A cycle new at a level lies inside one strongly connected
+    component (SCC) of the undec attack subgraph and passes through an
+    argument that became eligible there, so each level peels only the
+    forward reach of those inside their own SCCs; `settle` settles what
+    lies below. Linear in n + m unless one SCC keeps gaining eligible
+    arguments level after level; O(n * (n + m)) at worst.
     """
     attackers = framework._attackers
     unattacked = [u for u in undec if undec.isdisjoint(attackers[u])]
     if unattacked:
-        return None, ("undec-unattacked", min(unattacked))
+        detail = "undec argument without an undec attacker"
+        return None, Certificate(2, (min(unattacked),), detail)
     targets = framework._targets
     # Targets still to settle: in/undec ones for an in argument, in ones for an undec one.
     waiting = {a: sum(t in in_args or t in undec for t in targets[a]) for a in in_args}
@@ -231,7 +222,7 @@ def _rank_detail(framework: Framework, in_args: frozenset[str], undec: frozenset
                         primed.add(other)
 
     ready = [a for a, count in waiting.items() if count == 0]
-    level = 0
+    level, scc = 0, None
     while ready:
         upcoming: list[str] = []
         queue = [a for a in ready if a in in_args or a in primed]
@@ -241,10 +232,11 @@ def _rank_detail(framework: Framework, in_args: frozenset[str], undec: frozenset
         settle(queue, level, upcoming)
         reach = [u for u in fresh if u in eligible and not eligible.isdisjoint(attackers[u])]
         if reach:
+            scc = scc or _strongly_connected(undec, lambda u: targets[u] & undec)
             seen = set(reach)
             for node in reach:
                 for other in targets[node]:
-                    if other in eligible and other not in seen:
+                    if other in eligible and other not in seen and scc[other] == scc[node]:
                         seen.add(other)
                         reach.append(other)
             core = list(framework._cyclic_core(seen))
@@ -254,7 +246,8 @@ def _rank_detail(framework: Framework, in_args: frozenset[str], undec: frozenset
         ready = upcoming
         level += 1
     if len(psi) < len(waiting):
-        return None, ("overflow", min(a for a in waiting if a not in psi))
+        detail = "rank value exceeded the argument count"
+        return None, Certificate(2, (min(a for a in waiting if a not in psi),), detail)
     return psi, None
 
 
@@ -309,13 +302,7 @@ def decide_ex4(framework: Framework, labelling: Labelling, *, checks=None) -> De
         return Decision(False, 4, certificate=Certificate(1, (name,), detail))
     psi, failure = _rank_detail(framework, in_args, labelling.undec_args)
     if psi is None:
-        kind, argument = failure
-        detail = (
-            "undec argument without an undec attacker"
-            if kind == "undec-unattacked"
-            else "rank value exceeded the argument count"
-        )
-        return Decision(False, 4, certificate=Certificate(2, (argument,), detail))
+        return Decision(False, 4, certificate=failure)
     return Decision(True, 4, witness=_witness(framework, labelling, psi))
 
 

@@ -136,7 +136,7 @@ def test_completeness_violation_names_the_least_violator(instance):
     if least is None:
         assert violation is None
     else:
-        assert (violation.argument, violation.clause) == (least, clause_of[lab.label(least)])
+        assert (violation.witness, violation.condition) == ((least,), clause_of[lab.label(least)])
 
 
 ROUND_TRIP_SETTINGS = hypothesis.settings(

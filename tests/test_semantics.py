@@ -42,22 +42,22 @@ def test_is_complete_empty_framework():
 
 def test_violation_reports_first_argument_and_clause(two_arg):
     violation = completeness_violation(two_arg, Labelling(undec_args="ab"))
-    assert violation.argument == "a"
-    assert violation.clause == 3
+    assert violation.witness == ("a",)
+    assert violation.condition == 3
 
 
 def test_violation_in_clause():
     fw = Framework("ab", [("a", "b")])
     violation = completeness_violation(fw, Labelling(in_args="ab"))
-    assert violation.argument == "b"
-    assert violation.clause == 1
+    assert violation.witness == ("b",)
+    assert violation.condition == 1
 
 
 def test_violation_out_clause():
     fw = Framework("ab", [("a", "b")])
     violation = completeness_violation(fw, Labelling(out_args="a", in_args="b"))
-    assert violation.argument == "a"
-    assert violation.clause == 2
+    assert violation.witness == ("a",)
+    assert violation.condition == 2
 
 
 def test_labelling_domain_mismatch(example1):

@@ -19,6 +19,7 @@ from prefarg import (
     Labelling,
     PreferenceOrder,
     brute_force_ex,
+    completeness_violation,
     decide,
     decide_all,
     decide_ex1,
@@ -350,6 +351,10 @@ def _random_instance(rng, labels):
 
 def test_rank_detail_matches_the_reference_sweeps():
     """Same values and failure kind as the sweeps, and the same undec-unattacked argument."""
+    details = {
+        "undec-unattacked": "undec argument without an undec attacker",
+        "overflow": "rank value exceeded the argument count",
+    }
     rng = random.Random(57)
     kinds = collections.Counter()
     for _ in range(2000):
@@ -357,9 +362,13 @@ def test_rank_detail_matches_the_reference_sweeps():
         psi, failure = _rank_detail(fw, lab.in_args, lab.undec_args)
         expected_psi, expected = reference_rank_detail(fw, lab.in_args, lab.undec_args)
         assert psi == expected_psi
-        assert (failure and failure[0]) == (expected and expected[0])
-        if expected and expected[0] == "undec-unattacked":
-            assert failure == expected
+        if expected is None:
+            assert failure is None
+        else:
+            kind, name = expected
+            assert (failure.condition, failure.detail) == (2, details[kind])
+            if kind == "undec-unattacked":
+                assert failure.witness == (name,)
         kinds[expected and expected[0]] += 1
     assert min(kinds.values()) > 200, kinds
 
@@ -383,6 +392,21 @@ def test_ex4_agrees_with_the_sweeps_and_its_certificates_hold():
             assert ex4_certificate_holds(fw, lab, decision.certificate)
             details[decision.certificate.detail] += 1
     assert len(details) == 3 and min(details.values()) > 100, details
+
+
+def test_deciders_hand_on_the_certificates_of_their_checks():
+    """Reduction 2 answers with the completeness check's certificate, 4 with the ranking's."""
+    rng = random.Random(59)
+    ranking_failures = 0
+    for _ in range(500):
+        fw, lab = _random_instance(rng, ("in", "undec"))
+        violation = completeness_violation(fw, lab)
+        assert decide_ex2(fw, lab).certificate == violation
+        if violation is not None:
+            failure = _rank_detail(fw, lab.in_args, lab.undec_args)[1]
+            assert decide_ex4(fw, lab).certificate == failure
+            ranking_failures += failure is not None
+    assert ranking_failures > 100
 
 
 def test_ex4_settles_a_long_all_in_chain():
@@ -409,14 +433,14 @@ def test_rank_settles_an_undec_cycle_that_becomes_eligible_late():
     assert decide_ex4(fw, lab).yes
 
 
-def test_rank_settles_eligible_arguments_that_wait_on_a_shared_chain():
-    """K undec arguments become eligible one level apart, each feeding one pending chain.
+def _shared_chain(k: int, length: int):
+    """K undec arguments that become eligible one level apart, each feeding one pending chain.
 
     k_i attacks the in argument c_i, so it becomes eligible at level K - i + 1;
     k_{i+1} attacks k_i, k_1 attacks z and z attacks k_K, so the cycle closes
-    only at level K, when every undec argument settles.
+    only at level K, when every undec argument settles. Returns the framework,
+    the labelling, the in chain and the undec arguments.
     """
-    k, length = 200, 1000
     chain = [f"c{i:03d}" for i in range(k + 1)]
     waiting = {i: f"k{i:03d}" for i in range(1, k + 1)}
     pending = [f"p{i:04d}" for i in range(length)]
@@ -426,12 +450,32 @@ def test_rank_settles_eligible_arguments_that_wait_on_a_shared_chain():
     attacks += [(waiting[1], "z"), ("z", waiting[k])]
     attacks += [(waiting[i], pending[0]) for i in waiting]
     undec = [*waiting.values(), *pending, "z"]
-    fw = Framework(chain + undec, attacks)
     lab = Labelling(in_args=chain, undec_args=undec)
+    return Framework(chain + undec, attacks), lab, chain, undec
+
+
+def test_rank_settles_eligible_arguments_that_wait_on_a_shared_chain():
+    k = 200
+    fw, lab, chain, undec = _shared_chain(k, 1000)
     psi = rank(fw, lab)
     assert {psi[u] for u in undec} == {k}
     assert [psi[c] for c in chain] == list(range(k, -1, -1))
     assert decide_ex4(fw, lab).yes
+
+
+def test_rank_peels_a_shared_chain_once_not_once_per_level(monkeypatch):
+    """Each level's reach stays inside its fresh arguments' SCCs, and the chain's are singletons."""
+    fw, lab, _, _ = _shared_chain(200, 1000)
+    peeled = []
+    cyclic_core = Framework._cyclic_core
+
+    def counted(self, within):
+        peeled.append(len(within))
+        return cyclic_core(self, within)
+
+    monkeypatch.setattr(Framework, "_cyclic_core", counted)
+    assert rank(fw, lab) is not None
+    assert sum(peeled) <= 2 * len(fw.arguments)
 
 
 # --- reduction 4 -----------------------------------------------------------
