@@ -3,8 +3,7 @@
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Collection, Iterable
 
 from .errors import UnknownArgumentError
 
@@ -14,17 +13,43 @@ NAME_CHARS = "[A-Za-z0-9_]"  # an argument name is one or more of these
 NAME_PATTERN = re.compile(f"{NAME_CHARS}+\\Z")
 
 
-@dataclass(frozen=True)
+def _attacker_table(args: frozenset[str], attacks: Collection[Attack]) -> dict[str, set[str]]:
+    """Each argument's attackers, every source stored as the argument's own string.
+
+    An attack with an endpoint outside `args` raises UnknownArgumentError
+    naming the least such attack.
+    """
+    table: dict[str, set[str]] = {a: set() for a in args}
+    own = dict(zip(args, args))
+    try:
+        for src, dst in attacks:
+            table[dst].add(own[src])
+    except KeyError:
+        src, dst = min(
+            ((s, d) for s, d in attacks if s not in args or d not in args),
+            key=lambda att: (str(att[0]), str(att[1])),
+        )
+        raise UnknownArgumentError(
+            f"attack ({src},{dst}) references an unknown argument"
+        ) from None
+    return table
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Framework:
     """A finite set of named arguments plus a directed attack relation.
 
     Instances are immutable after construction and safe to share between
     threads. Argument names are nonempty strings over letters, digits and
     underscores; attacks may include self-attacks.
+
+    The relation is stored once, as each argument's attacker set. The attack
+    pairs and each argument's targets are built from it on first read.
+    Nothing changes a table afterwards; the public getters hand out frozen
+    copies.
     """
 
     arguments: frozenset[str]
-    attacks: frozenset[Attack]
 
     def __init__(self, arguments: Iterable[str] = (), attacks: Iterable[Attack] = ()):
         args = frozenset(arguments)
@@ -32,47 +57,42 @@ class Framework:
         for name in args:
             if not isinstance(name, str) or not NAME_PATTERN.match(name):
                 raise ValueError(f"bad argument name: {name!r}")
-        self._index(args, atts)
+        object.__setattr__(self, "arguments", args)
+        object.__setattr__(self, "_attackers", _attacker_table(args, atts))
+        object.__setattr__(self, "attacks", atts)  # already built, so seed the cache
 
     @classmethod
-    def _derived(cls, arguments: frozenset[str], attacks: frozenset[Attack]) -> "Framework":
-        """A framework over well-formed names, indexed without checking them again."""
+    def _derived(cls, arguments: frozenset[str], attackers: dict[str, set[str]]) -> "Framework":
+        """A framework over well-formed names and a finished attacker table, taken as given."""
         framework = cls.__new__(cls)
-        framework._index(arguments, attacks)
+        object.__setattr__(framework, "arguments", arguments)
+        object.__setattr__(framework, "_attackers", attackers)
         return framework
 
-    def _index(self, args: frozenset[str], atts: frozenset[Attack]) -> None:
-        """Set both fields and fill the attacker table in one pass.
-
-        An attack with an endpoint outside `args` raises UnknownArgumentError.
-        The target table is built on first read (`_targets`). Nothing changes
-        a table afterwards; the public getters hand out frozen copies.
-        """
-        object.__setattr__(self, "arguments", args)
-        object.__setattr__(self, "attacks", atts)
-        attackers: dict[str, set[str]] = {a: set() for a in args}
-        try:
-            for src, dst in atts:
-                attackers[dst].add(src)
-            if not args.issuperset(map(itemgetter(0), atts)):
-                raise KeyError
-        except KeyError:
-            src, dst = min(
-                ((s, d) for s, d in atts if s not in args or d not in args),
-                key=lambda att: (str(att[0]), str(att[1])),
-            )
-            raise UnknownArgumentError(
-                f"attack ({src},{dst}) references an unknown argument"
-            ) from None
-        object.__setattr__(self, "_attackers", attackers)
+    @cached_property
+    def attacks(self) -> frozenset[Attack]:
+        """The attack relation as (source, target) pairs, built on first read."""
+        return frozenset((src, dst) for dst, srcs in self._attackers.items() for src in srcs)
 
     @cached_property
     def _targets(self) -> dict[str, set[str]]:
         """Each argument's targets, built on first read: no rejection check needs them."""
         targets: dict[str, set[str]] = {a: set() for a in self.arguments}
-        for src, dst in self.attacks:
-            targets[src].add(dst)
+        for dst, srcs in self._attackers.items():
+            for src in srcs:
+                targets[src].add(dst)
         return targets
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.arguments == other.arguments and self._attackers == other._attackers
+
+    def __hash__(self):
+        return hash((self.arguments, self.attacks))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(arguments={self.arguments!r}, attacks={self.attacks!r})"
 
     def _require(self, name: str) -> None:
         if name not in self.arguments:
@@ -135,9 +155,8 @@ class Framework:
         keep = frozenset(subset)
         for name in keep:
             self._require(name)
-        return Framework._derived(
-            keep, frozenset((s, t) for s, t in self.attacks if s in keep and t in keep)
-        )
+        attackers = self._attackers
+        return Framework._derived(keep, {a: attackers[a] & keep for a in keep})
 
     def _cyclic_core(self, within: AbstractSet[str]) -> frozenset[str]:
         """What is left of `within` after repeatedly deleting the unattacked arguments.

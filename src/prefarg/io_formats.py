@@ -6,10 +6,11 @@ parse and emit are mutually inverse on those canonical forms.
 
 import json
 import re
+from itertools import chain
 from typing import Iterable
 
 from .errors import InvalidOrderError, ParseError
-from .framework import NAME_CHARS, NAME_PATTERN, Attack, Framework
+from .framework import NAME_CHARS, NAME_PATTERN, Attack, Framework, _attacker_table
 from .preferences import PreferenceFunction, PreferenceOrder, validate_order
 from .reductions import REDUCTIONS
 from .semantics import IN, OUT, UNDEC, Certificate, Labelling
@@ -22,6 +23,9 @@ _ARG = re.compile(rf"arg\({_S}{_NAME}{_S}\){_S}\.")
 _ATT = re.compile(rf"att\({_S}{_NAME}{_S},{_S}{_NAME}{_S}\){_S}\.")
 _FACT = re.compile(f"{_ARG.pattern}|{_ATT.pattern}")
 _COMMENT = re.compile(r"%[^\n]*")
+# The ASCII line breaks of `str.splitlines` besides "\n". Its other breaks are not
+# ASCII, so an ASCII text without these needs no rewriting of its breaks.
+_ASCII_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 
 
 def parse_apx(text: str) -> Framework:
@@ -31,19 +35,26 @@ def parse_apx(text: str) -> Framework:
     an error, as is any other non-blank content. Lines are those of
     `str.splitlines`, and no fact spans two of them.
     """
-    text = "\n".join(text.splitlines())
+    if not text.isascii() or any(map(text.__contains__, _ASCII_BREAKS)):
+        text = "\n".join(text.splitlines())  # every break a "\n", which facts and comments end at
     if "%" in text:
         text = _COMMENT.sub("", text)
+    names, pairs = _ARG.findall(text), _ATT.findall(text)
+    # Facts never overlap, so the text holds nothing else exactly when its
+    # non-blank characters are theirs: 6 + name for `arg`, 7 + both names for `att`.
+    names_len = sum(map(len, names)) + sum(map(len, chain.from_iterable(pairs)))
+    if len("".join(text.split())) != 6 * len(names) + 7 * len(pairs) + names_len:
+        raise _content_error(text)
+    args = frozenset(names)
+    return Framework._derived(args, _attacker_table(args, pairs))
+
+
+def _content_error(text: str) -> ParseError:
+    """Name the first line with other content, from where its facts stop, up to 40 characters."""
     # Facts hold no line break, so what they leave behind keeps every line.
     rest = _FACT.sub("", text)
     junk = rest.lstrip()
-    if junk:
-        raise _content_error(text, rest.count("\n", 0, len(rest) - len(junk)) + 1)
-    return Framework._derived(frozenset(_ARG.findall(text)), frozenset(_ATT.findall(text)))
-
-
-def _content_error(text: str, lineno: int) -> ParseError:
-    """Name what follows the line's leading run of facts, up to 40 characters."""
+    lineno = rest.count("\n", 0, len(rest) - len(junk)) + 1
     line = text.split("\n", lineno)[lineno - 1]
     pos = 0
     for match in _FACT.finditer(line):

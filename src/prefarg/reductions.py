@@ -55,13 +55,17 @@ def _reduced_complete(framework: Framework, labelling: Labelling, rank, index: i
     return next(_violators(labelling, _reduced_attackers(framework, rank, index)), None) is None
 
 
+def _reduced(framework: Framework, rank, index: int) -> Framework:
+    """The framework after reduction `index` under `rank`, its table straight from the kernel."""
+    kept = _reduced_attackers(framework, rank, index)
+    return Framework._derived(framework.arguments, {a: kept(a) for a in framework.arguments})
+
+
 def reduce(framework: Framework, order: PreferenceOrder, index: int) -> Framework:
     """Apply reduction `index` to the framework under the given order."""
     if not validate_order(framework, order):
         raise InvalidOrderError("order is not a CC-wise total order on the framework")
-    kept = _reduced_attackers(framework, order._rank, index)
-    attacks = frozenset((src, dst) for dst in framework.arguments for src in kept(dst))
-    return Framework._derived(framework.arguments, attacks)
+    return _reduced(framework, order._rank, index)
 
 
 def graph_from_pref_fn(
@@ -87,4 +91,5 @@ def graph_from_pref_fn(
             raise WpsgConstraintError(
                 f"one-way attacks mapped to 0 under reduction 2: {offenders}"
             )
-    return reduce(framework, order, index)
+    # `pref_fn_to_order` builds a CC-wise total order, so it needs no validation.
+    return _reduced(framework, order._rank, index)

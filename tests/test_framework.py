@@ -1,17 +1,27 @@
+import dataclasses
 import random
 
 import pytest
 
-from conftest import assert_indexed_like_a_checked_build, random_framework
+from conftest import (
+    assert_indexed_like_a_checked_build,
+    random_framework,
+    random_labelling,
+    random_order,
+    reference_reduce,
+)
 from prefarg import (
     Framework,
     Labelling,
     PreferenceOrder,
     UnknownArgumentError,
     decide_all,
+    emit_apx,
+    enumerate_complete,
     is_complete,
     parse_apx,
     reduce,
+    verify_witness,
 )
 
 
@@ -181,6 +191,73 @@ def test_rejection_checks_and_reduced_graphs_leave_the_target_table_unbuilt():
     reduced = reduce(fw, PreferenceOrder([("a",), ("b",), ("c",)]), 1)
     is_complete(reduced, Labelling(in_args="c", out_args="a", undec_args="b"))
     assert "_targets" not in vars(reduced)
+
+
+def test_every_build_agrees_with_a_checked_build_and_stays_immutable():
+    rng = random.Random(65)
+    for _ in range(60):
+        fw = random_framework(rng, rng.randrange(0, 8), rng.random() * 0.5)
+        subset = {a for a in fw.arguments if rng.random() < 0.6}
+        order = random_order(rng, fw)
+        index = rng.choice((1, 2, 3, 4))
+        restricted = {(s, t) for s, t in fw.attacks if s in subset and t in subset}
+        builds = (
+            (parse_apx(emit_apx(fw)), fw.attacks),
+            (Framework(sorted(fw.arguments), sorted(fw.attacks)), fw.attacks),
+            (fw.restrict(subset), restricted),
+            (reduce(fw, order, index), reference_reduce(fw, order, index).attacks),
+        )
+        for built, attacks in builds:
+            checked = Framework(built.arguments, attacks)
+            assert built == checked and checked == built
+            assert hash(built) == hash(checked)
+            assert repr(built).startswith("Framework(arguments=frozenset(")
+            assert eval(repr(built)) == checked
+            assert built.attacks == checked.attacks and type(built.attacks) is frozenset
+            for field in ("arguments", "attacks", "_attackers"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(built, field, frozenset())
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(built, field)
+
+
+def test_stored_attackers_are_the_argument_strings_themselves():
+    rng = random.Random(66)
+    for _ in range(30):
+        fw = random_framework(rng, rng.randrange(1, 8), rng.random() * 0.5)
+        text = emit_apx(fw)
+        # Equal strings that are other objects than the argument names.
+        pairs = [("".join(list(s)), "".join(list(t))) for s, t in fw.attacks]
+        assert not any(s is t for (s, _), (t, _) in zip(pairs, fw.attacks))
+        for built in (parse_apx(text), Framework(sorted(fw.arguments), pairs)):
+            names = {id(a) for a in built.arguments}
+            assert all(id(s) in names for srcs in built._attackers.values() for s in srcs)
+
+
+def test_frameworks_differ_by_their_attacks():
+    assert Framework("ab", [("a", "b")]) != Framework("ab", [("b", "a")])
+    assert Framework("ab") != Framework("abc")
+    assert Framework("ab") != ("ab", ())
+    assert parse_apx("arg(a). arg(b). att(a,b).") != parse_apx("arg(a). arg(b). att(b,a).")
+
+
+def test_parsing_deciding_and_verifying_leave_the_attack_set_unbuilt():
+    rng = random.Random(67)
+    verdicts = set()
+    for _ in range(40):
+        text = emit_apx(random_framework(rng, rng.randrange(1, 7), rng.random() * 0.5))
+        # A complete labelling is a yes under every reduction; a random one mostly a no.
+        labellings = [random_labelling(rng, parse_apx(text))]
+        labellings.append(rng.choice(enumerate_complete(parse_apx(text))))
+        for labelling in labellings:
+            fw = parse_apx(text)
+            assert "attacks" not in vars(fw)
+            for decision in decide_all(fw, labelling, (1, 2, 3, 4)):
+                verdicts.add(decision.yes)
+                if decision.yes:
+                    assert verify_witness(fw, labelling, decision.reduction, decision.witness)
+            assert "attacks" not in vars(fw)
+    assert verdicts == {True, False}
 
 
 def undirected_distances(fw: Framework, seeds, within) -> dict[str, int]:

@@ -140,6 +140,22 @@ def test_parse_apx_agrees_with_the_line_by_line_reference():
     assert kinds == {Framework, ParseError, UnknownArgumentError}
 
 
+def test_parse_apx_agrees_with_the_reference_after_one_inserted_character():
+    rng = random.Random(10)
+    inserts = [c for c in SPACES if c] + list(LINE_BREAKS) + list("x(),.%\xe9")
+    outcomes = set()
+    for i in range(3000):
+        text = random_apx_text(rng)
+        while not isinstance(parse_outcome(reference_parse_apx, text), Framework):
+            text = random_apx_text(rng)
+        pos = rng.randrange(len(text) + 1)
+        text = text[:pos] + inserts[i % len(inserts)] + text[pos:]
+        expected = parse_outcome(reference_parse_apx, text)
+        assert parse_outcome(parse_apx, text) == expected, text
+        outcomes.add(type(expected) if isinstance(expected, Framework) else expected[0])
+    assert outcomes == {Framework, ParseError, UnknownArgumentError}
+
+
 def test_parse_apx_reads_every_line_break_of_splitlines():
     for brk in LINE_BREAKS:
         assert parse_apx(f"arg(a).{brk}%arg(b).{brk}att(a,a).") == Framework("a", [("a", "a")])
