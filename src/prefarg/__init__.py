@@ -23,12 +23,10 @@ from .io_formats import (
     emit_dot,
     emit_labelling,
     emit_order,
-    emit_pref_fn,
     emit_result,
     parse_apx,
     parse_labelling,
     parse_order,
-    parse_pref_fn,
     parse_result,
 )
 from .oracle import brute_force_ex, enumerate_orders, weak_orders
@@ -36,7 +34,6 @@ from .preferences import (
     PreferenceFunction,
     PreferenceOrder,
     consistency_certificate,
-    is_consistent,
     order_to_pref_fn,
     pref_fn_to_order,
     validate_order,
@@ -99,20 +96,17 @@ __all__ = [
     "emit_dot",
     "emit_labelling",
     "emit_order",
-    "emit_pref_fn",
     "emit_result",
     "enumerate_complete",
     "enumerate_orders",
     "graph_from_pref_fn",
     "grounded_labelling",
     "is_complete",
-    "is_consistent",
     "is_valid_ranking",
     "order_to_pref_fn",
     "parse_apx",
     "parse_labelling",
     "parse_order",
-    "parse_pref_fn",
     "parse_result",
     "pref_fn_to_order",
     "rank",

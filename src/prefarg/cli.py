@@ -2,13 +2,13 @@
 
 Subcommands: decide, solve, reduce, labellings, oracle, gen. Exit codes:
 0 for a positive verdict, 1 for a negative one, 2 for input errors, 3 for
-internal errors. Results go to stdout, diagnostics to stderr. The env var
-PREFARG_SIZE_CAP overrides the enumeration caps.
+internal errors. Results go to stdout, diagnostics to stderr. `labellings`,
+`oracle` and `gen --labelling-mode complete` refuse inputs above the
+library's enumeration caps with exit 2.
 """
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -26,12 +26,10 @@ from .io_formats import (
     parse_order,
     result_payload,
 )
-from .oracle import DEFAULT_COMPONENT_CAP, brute_force_ex
+from .oracle import brute_force_ex
 from .reductions import REDUCTIONS, reduce as apply_reduction
-from .semantics import DEFAULT_LABELLING_CAP, Labelling, enumerate_complete
+from .semantics import Labelling, enumerate_complete
 from .solvers import Decision, decide_all, verify_witness
-
-SIZE_CAP_ENV = "PREFARG_SIZE_CAP"
 
 # `gen` draws one random number per ordered pair of arguments.
 GEN_ARGS_CAP = 5000
@@ -40,16 +38,6 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
-
-
-def _size_cap(default: int) -> int:
-    raw = os.environ.get(SIZE_CAP_ENV)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise PrefargError(f"{SIZE_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 def _read(path: str) -> str:
@@ -150,16 +138,14 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_labellings(args) -> int:
     framework = parse_apx(_read(args.framework))
-    cap = _size_cap(DEFAULT_LABELLING_CAP)
-    for labelling in enumerate_complete(framework, cap):
+    for labelling in enumerate_complete(framework):
         print(emit_labelling(labelling))
     return EXIT_YES
 
 
 def _cmd_oracle(args) -> int:
     framework, labelling = _load_instance(args.framework, args.labelling)
-    cap = _size_cap(DEFAULT_COMPONENT_CAP)
-    found, order = brute_force_ex(framework, labelling, args.reduction, component_cap=cap)
+    found, order = brute_force_ex(framework, labelling, args.reduction)
     decision = Decision(found, args.reduction, witness=order)
     print(emit_result(decision, fmt=args.format))
     return EXIT_YES if found else EXIT_NO
@@ -185,17 +171,8 @@ def _cmd_gen(args) -> int:
     labelling_text = None
     if args.labelling_mode is not None:
         if args.labelling_mode == "complete":
-            cap = _size_cap(DEFAULT_LABELLING_CAP)
-            if len(names) <= cap:
-                complete = enumerate_complete(framework, cap)
-                labelling = complete[rng.randrange(len(complete))]
-            else:
-                print(
-                    "warning: framework above the enumeration cap,"
-                    " falling back to a random labelling",
-                    file=sys.stderr,
-                )
-                labelling = _random_labelling(rng, names)
+            complete = enumerate_complete(framework)
+            labelling = complete[rng.randrange(len(complete))]
         else:
             labelling = _random_labelling(rng, names)
         labelling_text = emit_labelling(labelling) + "\n"

@@ -11,7 +11,7 @@ from typing import Iterable
 
 from .errors import InvalidOrderError, ParseError
 from .framework import NAME_CHARS, NAME_PATTERN, Attack, Framework, _attacker_table
-from .preferences import PreferenceFunction, PreferenceOrder, validate_order
+from .preferences import PreferenceOrder, validate_order
 from .reductions import REDUCTIONS
 from .semantics import IN, OUT, UNDEC, Certificate, Labelling
 from .solvers import Decision
@@ -140,26 +140,6 @@ def emit_order(order: PreferenceOrder, framework: Framework) -> str:
         chains[framework._component_of[next(iter(cls))]].append(" = ".join(sorted(cls)))
     lines = [" < ".join(chain) for chain in chains]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_pref_fn(text: str) -> PreferenceFunction:
-    """Read a JSON object mapping "src>dst" attack keys to 0 or 1."""
-    data = _load_json(text, "preference function")
-    if not isinstance(data, dict):
-        raise ParseError("preference function must be a JSON object")
-    bits: dict[Attack, int] = {}
-    for key, value in data.items():
-        src, sep, dst = key.partition(">")
-        if not sep or not NAME_PATTERN.match(src) or not NAME_PATTERN.match(dst):
-            raise ParseError(f"bad attack key {key!r}")
-        if value not in (0, 1):
-            raise ParseError(f"bit for {key!r} must be 0 or 1")
-        bits[(src, dst)] = value
-    return PreferenceFunction(bits)
-
-
-def emit_pref_fn(fn: PreferenceFunction) -> str:
-    return json.dumps({f"{s}>{t}": fn.bits[(s, t)] for s, t in sorted(fn.bits)})
 
 
 _DOT_COLOURS = {IN: "green", OUT: "red", UNDEC: "gray"}

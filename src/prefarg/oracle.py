@@ -1,6 +1,7 @@
 """Exhaustive ground truth: try every CC-wise total order directly."""
 
 import itertools
+import math
 from typing import Iterable, Iterator
 
 from .errors import SizeLimitError
@@ -41,14 +42,32 @@ def weak_orders(items: Iterable[str]) -> Iterator[tuple[frozenset[str], ...]]:
 def _weak_order_pools(
     framework: Framework, component_cap: int
 ) -> list[tuple[tuple[frozenset[str], ...], ...]]:
-    """Every weak order of each component, components in `connected_components()` order."""
+    """Every weak order of each component, components in `connected_components()` order.
+
+    Refuses a component above the cap, and more orders in all than one at the cap has.
+    """
     components = framework.connected_components()
     for component in components:
         if len(component) > component_cap:
             raise SizeLimitError(
                 f"component of {len(component)} arguments exceeds the cap of {component_cap}"
             )
+    counts = _ordered_bell_numbers(component_cap)
+    orders, limit = math.prod(counts[len(c)] for c in components), counts[component_cap]
+    if orders > limit:
+        raise SizeLimitError(
+            f"{orders} orders over {len(components)} components exceed the {limit}"
+            f" of one component at the cap of {component_cap}"
+        )
     return [tuple(weak_orders(component)) for component in components]
+
+
+def _ordered_bell_numbers(n: int) -> list[int]:
+    """The number of weak orders of 0, 1, ..., n items: 1, 1, 3, 13, 75, ..."""
+    counts = [1]
+    for m in range(1, n + 1):
+        counts.append(sum(math.comb(m, k) * counts[m - k] for k in range(1, m + 1)))
+    return counts
 
 
 def enumerate_orders(

@@ -68,14 +68,6 @@ class PreferenceFunction:
             clean[(src, dst)] = int(bit)
         object.__setattr__(self, "bits", clean)
 
-    @property
-    def zero_attacks(self) -> frozenset[Attack]:
-        return frozenset(att for att, bit in self.bits.items() if bit == 0)
-
-    @property
-    def one_attacks(self) -> frozenset[Attack]:
-        return frozenset(att for att, bit in self.bits.items() if bit == 1)
-
 
 def _require_total_fn(framework: Framework, fn: PreferenceFunction) -> None:
     if set(fn.bits) != set(framework.attacks):
@@ -152,10 +144,14 @@ def _walk_components(
 ) -> tuple[tuple[str, ...] | None, dict[str, int]]:
     """An inconsistent cycle or None, plus the walk graph's strong components."""
     _require_total_fn(framework, fn)
-    strict_edges = frozenset((t, s) for s, t in fn.zero_attacks)
     succ: dict[str, list[str]] = {a: [] for a in framework.arguments}
-    for src, dst in strict_edges | fn.one_attacks:
-        succ[src].append(dst)
+    strict_edges: list[Attack] = []
+    for (src, dst), bit in fn.bits.items():
+        if bit:
+            succ[src].append(dst)
+        else:
+            succ[dst].append(src)
+            strict_edges.append((dst, src))
     component = _strongly_connected(sorted(framework.arguments), succ.__getitem__)
     for src, dst in sorted(strict_edges):
         if component[src] == component[dst]:
@@ -174,10 +170,6 @@ def consistency_certificate(
     of that graph uses a converse-of-0 edge, i.e. a strict preference step.
     """
     return _walk_components(framework, fn)[0]
-
-
-def is_consistent(framework: Framework, fn: PreferenceFunction) -> bool:
-    return consistency_certificate(framework, fn) is None
 
 
 def order_to_pref_fn(framework: Framework, order: PreferenceOrder) -> PreferenceFunction:

@@ -86,7 +86,9 @@ def graph_from_pref_fn(
     _check_index(index)
     order = pref_fn_to_order(framework, fn)
     if index == 2 and strict:
-        offenders = sorted((s, t) for s, t in fn.zero_attacks if (t, s) not in framework.attacks)
+        # `pref_fn_to_order` has checked that the keys are the attacks.
+        zeros = [(s, t) for (s, t), bit in fn.bits.items() if not bit]
+        offenders = sorted((s, t) for s, t in zeros if (t, s) not in fn.bits)
         if offenders:
             raise WpsgConstraintError(
                 f"one-way attacks mapped to 0 under reduction 2: {offenders}"

@@ -5,6 +5,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainMismatchError, SizeLimitError, UnknownArgumentError
 from .framework import Framework
+from .preferences import _strongly_connected
 
 IN = "in"
 OUT = "out"
@@ -153,10 +154,11 @@ def enumerate_complete(
 
     The grounded labels are forced and fixed up front; the remaining
     arguments are branched over {in, out, undec} with pruning as soon as a
-    clause is unsatisfiable. Every leaf is complete: the grounded labels
-    satisfy their clauses, and each other argument's clause was checked once
-    all of its attackers were assigned. Refuses frameworks above `cap`
-    arguments.
+    clause is unsatisfiable, attackers before their targets: strongly
+    connected components of the attack graph sources first, names within
+    one. Every leaf is complete: the grounded labels satisfy their clauses,
+    and each other argument's clause was checked once all of its attackers
+    were assigned. Refuses frameworks above `cap` arguments.
     """
     count = len(framework.arguments)
     if count > cap:
@@ -166,13 +168,15 @@ def enumerate_complete(
     grounded = grounded_labelling(framework)
     assign: dict[str, str] = {a: IN for a in grounded.in_args}
     assign.update((a, OUT) for a in grounded.out_args)
-    free = sorted(framework.arguments - set(assign))
+    # Tarjan numbers sinks first, so the highest ids are the sources.
+    scc = _strongly_connected(sorted(framework.arguments), framework._targets.__getitem__)
+    free = sorted(framework.arguments - set(assign), key=lambda a: (-scc[a], a))
     results: list[Labelling] = []
     attackers = framework._attackers
 
     def alive_around(name: str) -> bool:
-        # Only the freshly assigned argument and its neighbours can newly fail.
-        for node in {name} | framework._targets[name] | attackers[name]:
+        # Only the clauses that read the fresh label can newly fail: its own and its targets'.
+        for node in {name} | framework._targets[name]:
             label = assign.get(node)
             if label is None:
                 continue

@@ -186,12 +186,22 @@ def test_labellings_single_unattacked(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == '{"in": ["a"], "out": [], "undec": []}'
 
 
-def test_labellings_above_cap_exits_two(example1_files, capsys, monkeypatch):
-    fw, _ = example1_files
-    monkeypatch.setenv("PREFARG_SIZE_CAP", "3")
+def apx_text(names, attacks):
+    return "".join(f"arg({n}).\n" for n in names) + "".join(f"att({s},{t}).\n" for s, t in attacks)
+
+
+def chain_apx(size):
+    names = [f"a{i}" for i in range(size)]
+    return apx_text(names, zip(names, names[1:]))
+
+
+def test_labellings_above_cap_exits_two(tmp_path, capsys):
+    fw = write(tmp_path, "chain.apx", chain_apx(21))
     code = main(["labellings", "--framework", str(fw)])
+    captured = capsys.readouterr()
     assert code == 2
-    assert "cap" in capsys.readouterr().err
+    assert captured.out == ""
+    assert captured.err == "error: enumeration over 21 arguments exceeds the cap of 20\n"
 
 
 def test_oracle_matches_decide(tmp_path, two_arg_file, capsys):
@@ -216,11 +226,27 @@ def test_oracle_text_no_verdict_says_no_order_works(tmp_path, two_arg_file, caps
     )
 
 
-def test_oracle_respects_size_cap(example1_files, capsys, monkeypatch):
-    fw, lab = example1_files
-    monkeypatch.setenv("PREFARG_SIZE_CAP", "2")
+def test_oracle_respects_size_cap(tmp_path, capsys):
+    fw = write(tmp_path, "chain.apx", chain_apx(9))
+    lab = write(tmp_path, "chain.json", json.dumps({"undec": [f"a{i}" for i in range(9)]}))
     code = main(["oracle", "--framework", str(fw), "--labelling", str(lab), "--reduction", "1"])
+    captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: component of 9 arguments exceeds the cap of 8\n"
+
+
+def test_oracle_refuses_two_disjoint_six_cycles(tmp_path, capsys):
+    names = [f"{side}{i}" for side in "pq" for i in range(6)]
+    attacks = [(f"{side}{i}", f"{side}{(i + 1) % 6}") for side in "pq" for i in range(6)]
+    fw = write(tmp_path, "cycles.apx", apx_text(names, attacks))
+    lab = write(tmp_path, "cycles.json", json.dumps({"in": names}))
+    code = main(["oracle", "--framework", str(fw), "--labelling", str(lab), "--reduction", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: 21930489 orders over 2 components exceed")
+    assert captured.err.count("\n") == 1
 
 
 def test_gen_empty_framework(capsys):
@@ -271,6 +297,22 @@ def test_gen_complete_mode_emits_a_complete_labelling(tmp_path):
     framework = parse_apx(fw.read_text())
     labelling = parse_labelling(lab.read_text())
     assert is_complete(framework, labelling)
+
+
+def test_gen_complete_mode_above_the_cap_exits_two_and_writes_nothing(tmp_path, capsys):
+    fw, lab = tmp_path / "g.apx", tmp_path / "g.json"
+    code = main(
+        [
+            "gen", "--args", "21", "--attack-prob", "0.2", "--seed", "1",
+            "--labelling-mode", "complete",
+            "--framework-out", str(fw), "--labelling-out", str(lab),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: enumeration over 21 arguments exceeds the cap of 20\n"
+    assert not fw.exists() and not lab.exists()
 
 
 def test_gen_rejects_bad_probability(capsys):

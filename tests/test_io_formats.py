@@ -15,19 +15,16 @@ from prefarg import (
     Framework,
     Labelling,
     ParseError,
-    PreferenceFunction,
     PreferenceOrder,
     UnknownArgumentError,
     emit_apx,
     emit_dot,
     emit_labelling,
     emit_order,
-    emit_pref_fn,
     emit_result,
     parse_apx,
     parse_labelling,
     parse_order,
-    parse_pref_fn,
     parse_result,
 )
 
@@ -204,10 +201,9 @@ def test_parse_labelling_bad_json():
     "parse, what",
     [
         (parse_labelling, "labelling"),
-        (parse_pref_fn, "preference function"),
         (parse_result, "result"),
     ],
-    ids=["labelling", "pref_fn", "result"],
+    ids=["labelling", "result"],
 )
 @pytest.mark.parametrize("text", ["not json", "[" * 200_000], ids=["malformed", "deeply_nested"])
 def test_json_parsers_turn_malformed_or_deeply_nested_input_into_parse_errors(parse, what, text):
@@ -254,24 +250,6 @@ def test_emit_order_groups_many_components_in_one_pass():
 def test_order_round_trip(example1):
     order = PreferenceOrder([("a",), ("b",), ("c", "d")])
     assert parse_order(emit_order(order, example1)) == order
-
-
-# --- preference functions ---------------------------------------------------
-
-
-def test_pref_fn_round_trip():
-    fn = PreferenceFunction({("a", "b"): 0, ("b", "a"): 1})
-    assert parse_pref_fn(emit_pref_fn(fn)) == fn
-
-
-def test_parse_pref_fn_rejects_bad_bits():
-    with pytest.raises(ParseError):
-        parse_pref_fn('{"a>b": 2}')
-
-
-def test_parse_pref_fn_rejects_bad_key():
-    with pytest.raises(ParseError):
-        parse_pref_fn('{"ab": 1}')
 
 
 # --- DOT ---------------------------------------------------------------------

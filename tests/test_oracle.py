@@ -8,6 +8,7 @@ from prefarg import (
     Labelling,
     SizeLimitError,
     brute_force_ex,
+    decide,
     enumerate_orders,
     is_complete,
     reduce,
@@ -16,6 +17,15 @@ from prefarg import (
 )
 
 ORDERED_BELL = {0: 1, 1: 1, 2: 3, 3: 13, 4: 75}
+
+
+def disjoint_cycles(*sizes):
+    names, attacks = [], []
+    for block, size in enumerate(sizes):
+        ring = [f"c{block}_{i}" for i in range(size)]
+        names += ring
+        attacks += zip(ring, ring[1:] + ring[:1])
+    return Framework(names, attacks)
 
 
 def test_weak_orders_on_two_elements():
@@ -59,6 +69,28 @@ def test_enumerate_orders_respects_component_cap():
     fw = Framework("abc", [("a", "b"), ("b", "c")])
     with pytest.raises(SizeLimitError):
         list(enumerate_orders(fw, component_cap=2))
+
+
+def test_oracle_refuses_more_orders_than_one_component_at_the_cap_has():
+    # 4,683^2 orders, against 545,835 for one component of 8 arguments.
+    fw = disjoint_cycles(6, 6)
+    with pytest.raises(SizeLimitError, match="21930489 orders over 2 components"):
+        brute_force_ex(fw, Labelling(in_args=fw.arguments), 1)
+    with pytest.raises(SizeLimitError):
+        next(enumerate_orders(fw))
+
+
+@pytest.mark.parametrize(
+    "sizes, undec_only",
+    [((3, 3, 3), False), ((3, 3, 3), True), ((5, 5), True)],
+    ids=["3-3-3-in", "3-3-3-undec", "5-5-undec"],
+)
+def test_oracle_answers_products_under_the_bound_as_decide_does(sizes, undec_only):
+    fw = disjoint_cycles(*sizes)
+    labelling = Labelling(undec_args=fw.arguments) if undec_only else Labelling(in_args=fw.arguments)
+    for reduction in (1, 2, 3, 4):
+        found, _ = brute_force_ex(fw, labelling, reduction)
+        assert found == decide(fw, labelling, reduction).yes
 
 
 def test_brute_force_mutual_undec_pair_only_under_reduction_three():

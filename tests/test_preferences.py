@@ -12,7 +12,6 @@ from prefarg import (
     PreferenceOrder,
     consistency_certificate,
     graph_from_pref_fn,
-    is_consistent,
     order_to_pref_fn,
     pref_fn_to_order,
     reduce,
@@ -32,18 +31,18 @@ def all_consistent_functions(framework):
     attacks = sorted(framework.attacks)
     for bits in itertools.product((0, 1), repeat=len(attacks)):
         fn = PreferenceFunction(dict(zip(attacks, bits)))
-        if is_consistent(framework, fn):
+        if consistency_certificate(framework, fn) is None:
             yield fn
 
 
 def test_three_cycle_all_zero_is_inconsistent():
     g = Framework("abc", [("a", "c"), ("c", "b"), ("b", "a")])
     fn = PreferenceFunction({att: 0 for att in g.attacks})
-    assert not is_consistent(g, fn)
+    assert consistency_certificate(g, fn) is not None
 
 
 def test_example2_function_is_consistent(example1):
-    assert is_consistent(example1, example2_fn(example1))
+    assert consistency_certificate(example1, example2_fn(example1)) is None
 
 
 def test_all_ones_is_always_consistent():
@@ -51,7 +50,7 @@ def test_all_ones_is_always_consistent():
     for _ in range(40):
         fw = random_framework(rng, rng.randrange(0, 7), rng.random())
         fn = PreferenceFunction({att: 1 for att in fw.attacks})
-        assert is_consistent(fw, fn)
+        assert consistency_certificate(fw, fn) is None
 
 
 def test_certificate_is_a_real_cycle_with_a_strict_step():
@@ -59,8 +58,8 @@ def test_certificate_is_a_real_cycle_with_a_strict_step():
     fn = PreferenceFunction({att: 0 for att in g.attacks})
     cycle = consistency_certificate(g, fn)
     assert cycle is not None and len(cycle) >= 1
-    strict_edges = {(t, s) for s, t in fn.zero_attacks}
-    walk_edges = strict_edges | fn.one_attacks
+    strict_edges = {(t, s) for (s, t), bit in fn.bits.items() if bit == 0}
+    walk_edges = strict_edges | {att for att, bit in fn.bits.items() if bit == 1}
     closed = list(cycle) + [cycle[0]]
     assert all((closed[i], closed[i + 1]) in walk_edges for i in range(len(cycle)))
     assert any((closed[i], closed[i + 1]) in strict_edges for i in range(len(cycle)))
@@ -68,18 +67,20 @@ def test_certificate_is_a_real_cycle_with_a_strict_step():
 
 def test_zero_bit_on_self_attack_is_inconsistent():
     fw = Framework("x", [("x", "x")])
-    assert not is_consistent(fw, PreferenceFunction({("x", "x"): 0}))
+    assert consistency_certificate(fw, PreferenceFunction({("x", "x"): 0})) == ("x",)
 
 
 def test_order_to_pref_fn_example2(example1):
     fn = order_to_pref_fn(example1, EXAMPLE2_ORDER)
-    assert fn.zero_attacks == {("a", "b"), ("b", "c"), ("a", "c")}
-    assert fn.one_attacks == {("c", "a"), ("c", "b"), ("c", "d"), ("d", "c")}
+    assert fn.bits == {
+        **dict.fromkeys([("a", "b"), ("b", "c"), ("a", "c")], 0),
+        **dict.fromkeys([("c", "a"), ("c", "b"), ("c", "d"), ("d", "c")], 1),
+    }
 
 
 def test_order_to_pref_fn_all_equivalent_is_all_ones(example1):
     fn = order_to_pref_fn(example1, PreferenceOrder.all_equivalent(example1))
-    assert fn.zero_attacks == frozenset()
+    assert set(fn.bits.values()) == {1}
 
 
 def test_order_to_pref_fn_strict_pair():
@@ -135,7 +136,7 @@ def test_order_to_pref_fn_always_consistent():
         fw = random_framework(rng, rng.randrange(0, 7), rng.random())
         order = random_order(rng, fw)
         assert validate_order(fw, order)
-        assert is_consistent(fw, order_to_pref_fn(fw, order))
+        assert consistency_certificate(fw, order_to_pref_fn(fw, order)) is None
 
 
 def test_round_trip_bits_on_all_attacks_small_exhaustive():

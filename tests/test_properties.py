@@ -18,7 +18,6 @@ from prefarg import (
     Decision,
     Framework,
     Labelling,
-    PreferenceFunction,
     PreferenceOrder,
     brute_force_ex,
     completeness_violation,
@@ -28,14 +27,12 @@ from prefarg import (
     emit_apx,
     emit_labelling,
     emit_order,
-    emit_pref_fn,
     emit_result,
     grounded_labelling,
     is_complete,
     parse_apx,
     parse_labelling,
     parse_order,
-    parse_pref_fn,
     parse_result,
     rank,
     reduce,
@@ -186,9 +183,6 @@ def test_every_format_reads_back_what_it_writes(data):
     assert parse_labelling(emit_labelling(lab)) == lab
     order = data.draw(orders(fw))
     assert parse_order(emit_order(order, fw)) == order
-    bits = data.draw(st.lists(st.integers(0, 1), min_size=len(fw.attacks), max_size=len(fw.attacks)))
-    fn = PreferenceFunction(dict(zip(sorted(fw.attacks), bits)))
-    assert parse_pref_fn(emit_pref_fn(fn)) == fn
     decision = data.draw(decisions(fw))
     assert parse_result(emit_result(decision)) == decision
     assert parse_result(emit_result(decision, elapsed_ms=1.5)) == decision

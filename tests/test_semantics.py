@@ -101,6 +101,30 @@ def test_enumerate_complete_respects_cap():
         enumerate_complete(fw, cap=4)
 
 
+class BoundedTable(dict):
+    """A targets table that fails the test on its read after the first `budget`."""
+
+    def __init__(self, table, budget):
+        super().__init__(table)
+        self.budget = budget
+
+    def __getitem__(self, name):
+        self.budget -= 1
+        assert self.budget >= 0, "read the targets table more often than allowed"
+        return super().__getitem__(name)
+
+
+def test_enumeration_labels_attackers_before_their_targets():
+    # A self-attacking `z` attacks every other argument; all are undec in the
+    # one complete labelling. In name order `z` comes last, and every other
+    # argument keeps three open labels until then: 3^(n-1) branches.
+    n = 20
+    names = [f"a{i:02d}" for i in range(n - 1)] + ["z"]
+    fw = Framework(names, [("z", name) for name in names])
+    object.__setattr__(fw, "_targets", BoundedTable(fw._targets, budget=10 * n))
+    assert [as_triple(l) for l in enumerate_complete(fw)] == [((), (), tuple(names))]
+
+
 def test_enumeration_matches_exhaustive_scan():
     rng = random.Random(21)
     for _ in range(40):
