@@ -1,7 +1,6 @@
 """Immutable argumentation frameworks and the graph queries built on them."""
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet, Collection, Iterable
 
@@ -35,8 +34,35 @@ def _attacker_table(args: frozenset[str], attacks: Collection[Attack]) -> dict[s
     return table
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Framework:
+class _Value:
+    """An immutable value: equal, hashed and shown as the tuple of its `_fields` attributes.
+
+    Constructors set attributes with `object.__setattr__`; `cached_property` writes `__dict__`.
+    """
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Framework(_Value):
     """A finite set of named arguments plus a directed attack relation.
 
     Instances are immutable after construction and safe to share between
@@ -50,6 +76,7 @@ class Framework:
     """
 
     arguments: frozenset[str]
+    _fields = ("arguments", "attacks")
 
     def __init__(self, arguments: Iterable[str] = (), attacks: Iterable[Attack] = ()):
         args = frozenset(arguments)
@@ -88,11 +115,7 @@ class Framework:
             return NotImplemented
         return self.arguments == other.arguments and self._attackers == other._attackers
 
-    def __hash__(self):
-        return hash((self.arguments, self.attacks))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(arguments={self.arguments!r}, attacks={self.attacks!r})"
+    __hash__ = _Value.__hash__  # defining __eq__ drops the inherited hash
 
     def _require(self, name: str) -> None:
         if name not in self.arguments:

@@ -77,9 +77,18 @@ def _names(value, what: str) -> list[str]:
 
 
 def _load_json(text: str, what: str):
-    """Decode JSON text; malformed or too deeply nested input raises ParseError."""
+    """Decode JSON text; malformed, too deeply nested or key-repeating input raises ParseError."""
+
+    def unique(pairs: list) -> dict:
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ParseError(f"{what} repeats the JSON key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{what} is not valid JSON: {exc}") from None
 

@@ -7,15 +7,13 @@ below b). A function is consistent when no chain of these constraints
 closes into a cycle containing a strict step.
 """
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .errors import DomainMismatchError, InconsistentPreferenceError, InvalidOrderError
-from .framework import Attack, Framework
+from .framework import Attack, Framework, _Value
 
 
-@dataclass(frozen=True)
-class PreferenceOrder:
+class PreferenceOrder(_Value):
     """Ranked partition of arguments into equivalence classes, least first.
 
     Two arguments of the same connected component compare by class rank; the
@@ -24,6 +22,7 @@ class PreferenceOrder:
     """
 
     classes: tuple[frozenset[str], ...]
+    _fields = ("classes",)
 
     def __init__(self, classes: Iterable[Iterable[str]] = ()):
         tup = tuple(frozenset(c) for c in classes)
@@ -54,11 +53,11 @@ def validate_order(framework: Framework, order: PreferenceOrder) -> bool:
     return all(len({component_of[a] for a in cls}) == 1 for cls in order.classes)
 
 
-@dataclass(frozen=True, eq=True)
-class PreferenceFunction:
-    """Total assignment of a 0/1 preference bit to every attack."""
+class PreferenceFunction(_Value):
+    """Total assignment of a 0/1 preference bit to every attack; unhashable, as its dict is."""
 
     bits: dict[Attack, int]
+    _fields = ("bits",)
 
     def __init__(self, bits: Mapping[Attack, int]):
         clean: dict[Attack, int] = {}

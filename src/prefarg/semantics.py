@@ -1,10 +1,9 @@
 """Complete labellings: verification, the grounded fixpoint, and enumeration."""
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import DomainMismatchError, SizeLimitError, UnknownArgumentError
-from .framework import Framework
+from .framework import Framework, _Value
 from .preferences import _strongly_connected
 
 IN = "in"
@@ -15,13 +14,13 @@ LABELS = (IN, OUT, UNDEC)
 DEFAULT_LABELLING_CAP = 20
 
 
-@dataclass(frozen=True)
-class Labelling:
+class Labelling(_Value):
     """Total assignment of in/out/undec, stored as the three argument sets."""
 
     in_args: frozenset[str]
     out_args: frozenset[str]
     undec_args: frozenset[str]
+    _fields = ("in_args", "out_args", "undec_args")
 
     def __init__(
         self,
@@ -58,8 +57,7 @@ class Labelling:
         return self.in_args | self.out_args | self.undec_args
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A failed check: the condition or clause number, the arguments that witness it, and why."""
 
     condition: int

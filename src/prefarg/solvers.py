@@ -7,9 +7,8 @@ answer carries a certificate naming the violated condition and a witnessing
 argument or attack.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainMismatchError, InvalidOrderError
 from .framework import Framework
@@ -24,8 +23,7 @@ from .reductions import reduce  # noqa: F401
 from .semantics import Certificate, Labelling, completeness_violation, require_total
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     yes: bool
     reduction: int
     witness: PreferenceOrder | None = None

@@ -29,6 +29,13 @@ arg(a). arg(b). arg(c). arg(d).
 att(a,b). att(a,c). att(c,a). att(b,c). att(c,b). att(d,c). att(c,d).
 """
 
+# Labellings of a -> b that repeat the key "in". Read last-wins, the first
+# is complete and the second overlaps.
+REPEATED_KEY_LABELLINGS = [
+    '{"in":["b"],"out":["a"],"in":["a"],"out":["b"]}',
+    '{"in":["a"],"out":["b"],"in":["b"]}',
+]
+
 RANK_FIGURE_ATTACKS = [
     ("b", "a"),
     ("f", "b"),

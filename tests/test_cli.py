@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import EXAMPLE1_APX
+from conftest import EXAMPLE1_APX, REPEATED_KEY_LABELLINGS
 from prefarg.cli import main
 
 TWO_ARG_APX = "arg(a). arg(b). att(a,b).\n"
@@ -424,6 +424,16 @@ def test_batch_mode_reports_a_deeply_nested_labelling_and_goes_on(tmp_path, caps
     assert [l["instance"] for l in lines] == ["deep", "good"]
     assert "labelling is not valid JSON" in lines[0]["error"]
     assert lines[1]["verdict"] == "yes"
+
+
+@pytest.mark.parametrize("text", REPEATED_KEY_LABELLINGS, ids=["complete", "overlapping"])
+def test_solve_refuses_a_labelling_with_a_repeated_key(tmp_path, two_arg_file, capsys, text):
+    lab = write(tmp_path, "repeated.json", text)
+    code = main(["solve", "--framework", str(two_arg_file), "--labelling", str(lab), "--reduction", "all"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: labelling repeats the JSON key 'in'\n"
 
 
 def test_exhaustive_small_cli_agreement(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -215,9 +214,9 @@ def test_every_build_agrees_with_a_checked_build_and_stays_immutable():
             assert eval(repr(built)) == checked
             assert built.attacks == checked.attacks and type(built.attacks) is frozenset
             for field in ("arguments", "attacks", "_attackers"):
-                with pytest.raises(dataclasses.FrozenInstanceError):
+                with pytest.raises(AttributeError):
                     setattr(built, field, frozenset())
-                with pytest.raises(dataclasses.FrozenInstanceError):
+                with pytest.raises(AttributeError):
                     delattr(built, field)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (
     EXAMPLE1_APX,
+    REPEATED_KEY_LABELLINGS,
     random_framework,
     reference_parse_apx,
     random_labelling,
@@ -211,6 +212,12 @@ def test_json_parsers_turn_malformed_or_deeply_nested_input_into_parse_errors(pa
         parse(text)
 
 
+@pytest.mark.parametrize("text", REPEATED_KEY_LABELLINGS, ids=["complete", "overlapping"])
+def test_parse_labelling_refuses_a_repeated_key(text):
+    with pytest.raises(ParseError, match="^labelling repeats the JSON key 'in'$"):
+        parse_labelling(text)
+
+
 # --- orders ----------------------------------------------------------------
 
 
@@ -399,6 +406,19 @@ NO = '{"verdict": "no", "reduction": 1, '
 )
 def test_parse_result_rejects_payloads_that_contradict_the_verdict(text):
     with pytest.raises(ParseError, match="malformed witness or certificate"):
+        parse_result(text)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (NO + '"reduction": 2}', "reduction"),
+        (NO + '"certificate": {"condition": 1, "witness": ["a"], "condition": 2}}', "condition"),
+    ],
+    ids=["top", "nested"],
+)
+def test_parse_result_refuses_a_repeated_key_at_any_depth(text, key):
+    with pytest.raises(ParseError, match=f"^result repeats the JSON key '{key}'$"):
         parse_result(text)
 
 
