@@ -162,12 +162,28 @@ def test_reduce_rejects_order_missing_an_argument(tmp_path, example1_files, caps
     assert code == 2
 
 
-def test_reduce_dot_output(tmp_path, example1_files, capsys):
-    fw, _ = example1_files
-    order = write(tmp_path, "order.txt", "a = b = c = d\n")
+# `node` is a DOT keyword and `1a` starts with a digit, so DOT needs both quoted.
+@pytest.mark.parametrize(
+    "apx, order_text, expected",
+    [
+        (EXAMPLE1_APX, "a = b = c = d\n", ["  a;", "  a -> b;"]),
+        (
+            "arg(node). arg(1a). arg(b). att(node,1a). att(1a,b). att(b,node).\n",
+            "b = node = 1a\n",
+            ['  "node";', '  "1a";', '  "node" -> "1a";'],
+        ),
+    ],
+    ids=["example1", "quoted"],
+)
+def test_reduce_dot_output(tmp_path, capsys, apx, order_text, expected):
+    fw = write(tmp_path, "fw.apx", apx)
+    order = write(tmp_path, "order.txt", order_text)
     code = main(["reduce", "--framework", str(fw), "--order", str(order), "--reduction", "1", "--dot"])
+    out, err = capsys.readouterr()
     assert code == 0
-    assert capsys.readouterr().out.startswith("digraph framework {")
+    assert err == ""
+    assert out.startswith("digraph framework {\n")
+    assert set(expected) <= set(out.splitlines())
 
 
 def test_labellings_example1(example1_files, capsys):
@@ -264,21 +280,19 @@ def test_gen_full_probability_gives_complete_digraph(capsys):
     assert "att(a0,a0)." in out
 
 
-def test_gen_is_deterministic(tmp_path):
+def test_gen_is_deterministic(tmp_path, capsys):
+    argv = ["gen", "--args", "6", "--attack-prob", "0.4", "--seed", "123", "--labelling-mode", "random"]
     paths = []
     for run in ("one", "two"):
         fw = tmp_path / f"{run}.apx"
         lab = tmp_path / f"{run}.json"
-        code = main(
-            [
-                "gen", "--args", "6", "--attack-prob", "0.4", "--seed", "123",
-                "--labelling-mode", "random",
-                "--framework-out", str(fw), "--labelling-out", str(lab),
-            ]
-        )
+        code = main([*argv, "--framework-out", str(fw), "--labelling-out", str(lab)])
         assert code == 0
         paths.append((fw.read_bytes(), lab.read_bytes()))
     assert paths[0] == paths[1]
+    # Without either path, stdout holds the framework, a blank line and the labelling.
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == paths[0][0] + b"\n" + paths[0][1]
 
 
 def test_gen_complete_mode_emits_a_complete_labelling(tmp_path):
@@ -315,9 +329,15 @@ def test_gen_complete_mode_above_the_cap_exits_two_and_writes_nothing(tmp_path, 
     assert not fw.exists() and not lab.exists()
 
 
-def test_gen_rejects_bad_probability(capsys):
-    code = main(["gen", "--args", "3", "--attack-prob", "1.5", "--seed", "1"])
+@pytest.mark.parametrize(
+    "count, prob, message",
+    [("3", "1.5", "--attack-prob must lie in [0, 1]"), ("-1", "0.5", "--args must be nonnegative")],
+    ids=["probability", "negative-count"],
+)
+def test_gen_rejects_a_bad_probability_or_a_negative_count(capsys, count, prob, message):
+    code = main(["gen", "--args", count, "--attack-prob", prob, "--seed", "1"])
     assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_batch_mode_pairs_by_stem(tmp_path, capsys):
@@ -339,20 +359,31 @@ def test_batch_mode_pairs_by_stem(tmp_path, capsys):
     assert "orphan" in captured.err
 
 
-def test_batch_mode_refuses_text_format(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "labelling, extra, message",
+    [
+        ("labellings", ["--format", "text"], "--format text"),
+        ("labellings/one.json", [], "needs both --framework and --labelling directories"),
+        ("others", [], "no instances paired by filename stem"),
+    ],
+    ids=["text-format", "one-file", "no-pairs"],
+)
+def test_batch_mode_refuses_text_format_a_file_or_no_pairs(tmp_path, capsys, labelling, extra, message):
     fdir = tmp_path / "frameworks"
     ldir = tmp_path / "labellings"
-    fdir.mkdir()
-    ldir.mkdir()
+    others = tmp_path / "others"
+    for directory in (fdir, ldir, others):
+        directory.mkdir()
     (fdir / "one.apx").write_text(TWO_ARG_APX)
     (ldir / "one.json").write_text(L1_JSON)
+    (others / "two.json").write_text(L1_JSON)
     for command in ("decide", "solve"):
-        argv = [command, "--framework", str(fdir), "--labelling", str(ldir), "--reduction", "all"]
-        assert main(argv + ["--format", "text"]) == 2
+        argv = [command, "--framework", str(fdir), "--labelling", str(tmp_path / labelling), "--reduction", "all"]
+        assert main(argv + extra) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("error: ") and "--format text" in captured.err
+        assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_batch_mode_reports_a_bad_pair_and_goes_on(tmp_path, capsys):
@@ -439,6 +470,7 @@ def test_solve_refuses_a_labelling_with_a_repeated_key(tmp_path, two_arg_file, c
 def test_exhaustive_small_cli_agreement(tmp_path, capsys):
     # decide and oracle must agree cell by cell on a small instance matrix
     fw = write(tmp_path, "fw.apx", TWO_ARG_APX)
+    codes = set()
     for name, text in (("l1", L1_JSON), ("l2", L2_JSON), ("l3", L3_JSON)):
         lab = write(tmp_path, f"{name}.json", text)
         for reduction in "1234":
@@ -450,6 +482,8 @@ def test_exhaustive_small_cli_agreement(tmp_path, capsys):
             )
             capsys.readouterr()
             assert decide_code == oracle_code
+            codes.add(oracle_code)
+    assert codes == {0, 1}
 
 
 NOT_UTF8 = b"\xff"
@@ -491,14 +525,17 @@ def without_timing(out: str) -> list[dict]:
     return rows
 
 
-def test_solve_reads_files_with_a_byte_order_mark_and_crlf_line_breaks(tmp_path, capsys):
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_solve_reads_files_with_a_byte_order_mark_and_crlf_line_breaks(tmp_path, capsys, fmt):
     runs = []
     for marked in (False, True):
         prefix, newline = (BOM, "\r\n") if marked else ("", "\n")
         fw = write(tmp_path, f"fw{marked}.apx", prefix + EXAMPLE1_APX.replace("\n", newline))
-        lab = write(tmp_path, f"l{marked}.json", prefix + EXAMPLE1_COMPLETE_JSON)
-        code = main(["solve", "--framework", str(fw), "--labelling", str(lab), "--reduction", "all"])
-        runs.append((code, without_timing(capsys.readouterr().out)))
+        lab = write(tmp_path, f"l{marked}.json", prefix + EXAMPLE1_COMPLETE_JSON.replace("\n", newline))
+        argv = ["--framework", str(fw), "--labelling", str(lab), "--reduction", "all", "--format", fmt]
+        code = main(["solve", *argv])
+        out = capsys.readouterr().out
+        runs.append((code, without_timing(out) if fmt == "json" else out))
     assert runs[0] == runs[1]
     assert runs[0][0] == 0
 

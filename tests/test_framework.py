@@ -237,6 +237,7 @@ def test_frameworks_differ_by_their_attacks():
     assert Framework("ab", [("a", "b")]) != Framework("ab", [("b", "a")])
     assert Framework("ab") != Framework("abc")
     assert Framework("ab") != ("ab", ())
+    assert Framework("ab") != Labelling(undec_args="ab")
     assert parse_apx("arg(a). arg(b). att(a,b).") != parse_apx("arg(a). arg(b). att(b,a).")
 
 

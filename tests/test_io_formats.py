@@ -193,9 +193,10 @@ def test_parse_labelling_unknown_key_error():
         parse_labelling('{"in":[],"out":[],"undec":[],"maybe":[]}')
 
 
-def test_parse_labelling_bad_json():
+@pytest.mark.parametrize("text", ["not json", '["a"]'], ids=["malformed", "not-an-object"])
+def test_parse_labelling_bad_json(text):
     with pytest.raises(ParseError):
-        parse_labelling("not json")
+        parse_labelling(text)
 
 
 @pytest.mark.parametrize(
@@ -227,13 +228,14 @@ def test_parse_order_single_component():
 
 
 def test_parse_order_multiple_components():
-    order = parse_order("a < b\nq = p\n")
+    order = parse_order("a < b\n% a comment line\nq = p\n")
     assert order.classes == (frozenset("a"), frozenset("b"), frozenset("pq"))
 
 
-def test_parse_order_rejects_garbage():
+@pytest.mark.parametrize("text", ["a << b", "a < b\nb = c\n"], ids=["empty-name", "overlapping-classes"])
+def test_parse_order_rejects_garbage(text):
     with pytest.raises(ParseError):
-        parse_order("a << b")
+        parse_order(text)
 
 
 def test_emit_order_groups_by_component():
@@ -329,6 +331,10 @@ def test_emit_result_text_forms():
     no = Decision(False, 4, certificate=Certificate(1, ("a",), "missing attacker"))
     assert emit_result(yes, fmt="text") == "YES (reduction 2) witness: a = b"
     assert emit_result(no, fmt="text").startswith("NO (reduction 4) condition 1")
+    empty = Decision(True, 1, witness=PreferenceOrder([]))
+    assert emit_result(empty, fmt="text") == "YES (reduction 1) witness: (empty order)"
+    with pytest.raises(ValueError, match="unknown result format 'xml'"):
+        emit_result(yes, fmt="xml")
 
 
 def test_result_round_trip_random_decisions():
@@ -372,6 +378,12 @@ def test_result_round_trip_random_decisions():
 )
 def test_parse_result_malformed_witness_or_certificate(text):
     with pytest.raises(ParseError, match="malformed witness or certificate"):
+        parse_result(text)
+
+
+@pytest.mark.parametrize("text", ['["yes", 1]', '{"reduction": 1}', '{"verdict": "no"}'])
+def test_parse_result_needs_an_object_with_verdict_and_reduction(text):
+    with pytest.raises(ParseError, match="^result must be a JSON object with verdict and reduction$"):
         parse_result(text)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import all_frameworks, random_framework, random_order
 from prefarg import (
+    DomainMismatchError,
     Framework,
     InconsistentPreferenceError,
     InvalidOrderError,
@@ -107,6 +108,11 @@ def test_pref_fn_to_order_merges_unconstrained():
 
 def test_pref_fn_to_order_empty():
     assert pref_fn_to_order(Framework(), PreferenceFunction({})).classes == ()
+
+
+def test_pref_fn_to_order_rejects_a_function_over_other_attacks(example1):
+    with pytest.raises(DomainMismatchError, match="differs from the framework's attacks"):
+        pref_fn_to_order(example1, PreferenceFunction({("a", "b"): 1}))
 
 
 def test_pref_fn_to_order_rejects_inconsistent():

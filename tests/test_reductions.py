@@ -12,13 +12,16 @@ from conftest import (
 from prefarg import (
     Framework,
     InvalidOrderError,
+    Labelling,
     PreferenceFunction,
     PreferenceOrder,
     WpsgConstraintError,
+    emit_order,
     enumerate_orders,
     graph_from_pref_fn,
     order_to_pref_fn,
     reduce,
+    verify_witness,
 )
 
 ORDER_A_B_CD = PreferenceOrder([("a",), ("b",), ("c", "d")])
@@ -47,9 +50,18 @@ def test_reduce_rejects_bad_index(example1):
         reduce(example1, ORDER_A_B_CD, 5)
 
 
-def test_reduce_rejects_invalid_order(example1):
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda fw, order: reduce(fw, order, 1),
+        lambda fw, order: verify_witness(fw, Labelling(in_args="ad", out_args="bc"), 1, order),
+        lambda fw, order: emit_order(order, fw),
+    ],
+    ids=["reduce", "verify_witness", "emit_order"],
+)
+def test_reduce_verify_witness_and_emit_order_refuse_an_invalid_order(example1, use):
     with pytest.raises(InvalidOrderError):
-        reduce(example1, PreferenceOrder([("a",), ("b",)]), 1)
+        use(example1, PreferenceOrder([("a",), ("b",)]))
 
 
 def test_graph_from_pref_fn_example2(example1):

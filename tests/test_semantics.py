@@ -65,9 +65,11 @@ def test_labelling_domain_mismatch(example1):
         is_complete(example1, Labelling(in_args="a"))
 
 
-def test_labelling_overlap_rejected():
+def test_labelling_rejects_overlapping_sets_and_bad_labels():
     with pytest.raises(ValueError):
         Labelling(in_args="a", out_args="a")
+    with pytest.raises(ValueError, match="bad label 'maybe'"):
+        Labelling.from_map({"a": "in", "b": "maybe"})
 
 
 def test_enumerate_complete_example1(example1):

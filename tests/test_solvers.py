@@ -274,6 +274,8 @@ def test_rank_rejects_out_labels():
     fw = Framework("ab", [("a", "b")])
     with pytest.raises(DomainMismatchError):
         rank(fw, Labelling(in_args="b", out_args="a"))
+    with pytest.raises(DomainMismatchError):
+        is_valid_ranking(fw, Labelling(in_args="b", out_args="a"), {"a": 0, "b": 1})
 
 
 @pytest.mark.parametrize("labelling", [Labelling(in_args="a"), Labelling(in_args="abc")])
@@ -336,9 +338,31 @@ def test_rank_output_satisfies_ranking_conditions():
             assert max(psi.values(), default=0) <= len(fw.arguments)
 
 
+PAPER_RANKING = {"a": 0, "b": 1, "f": 2, "e": 2, "c": 2, "d": 3}
+
+
 def test_paper_annotated_ranking_is_valid(rank_figure, rank_figure_labelling):
-    psi = {"a": 0, "b": 1, "f": 2, "e": 2, "c": 2, "d": 3}
-    assert is_valid_ranking(rank_figure, rank_figure_labelling, psi)
+    assert is_valid_ranking(rank_figure, rank_figure_labelling, PAPER_RANKING)
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [
+        {name: value for name, value in PAPER_RANKING.items() if name != "d"},
+        # b attacks a, and both are in.
+        {**PAPER_RANKING, "b": 0},
+        # c's one undec attacker is e.
+        {**PAPER_RANKING, "c": 1},
+    ],
+    ids=["missing-value", "in-attack-not-descending", "below-its-undec-attackers"],
+)
+def test_is_valid_ranking_refuses_a_broken_paper_ranking(rank_figure, rank_figure_labelling, psi):
+    assert not is_valid_ranking(rank_figure, rank_figure_labelling, psi)
+
+
+def test_is_valid_ranking_refuses_an_undec_argument_without_an_undec_attacker():
+    lab = Labelling(in_args="a", undec_args="b")
+    assert not is_valid_ranking(Framework("ab", [("a", "b")]), lab, {"a": 1, "b": 0})
 
 
 def _random_instance(rng, labels):
