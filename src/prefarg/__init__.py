@@ -15,7 +15,6 @@ from .errors import (
     PrefargError,
     SizeLimitError,
     UnknownArgumentError,
-    WpsgConstraintError,
 )
 from .framework import Attack, Framework
 from .io_formats import (
@@ -82,7 +81,6 @@ __all__ = [
     "SizeLimitError",
     "UNDEC",
     "UnknownArgumentError",
-    "WpsgConstraintError",
     "brute_force_ex",
     "completeness_violation",
     "consistency_certificate",

@@ -1,10 +1,12 @@
 """Command line front end.
 
-Subcommands: decide, solve, reduce, labellings, oracle, gen. Exit codes:
-0 for a positive verdict, 1 for a negative one, 2 for input errors, 3 for
-internal errors. Results go to stdout, diagnostics to stderr. `labellings`,
-`oracle` and `gen --labelling-mode complete` refuse inputs above the
-library's enumeration caps with exit 2.
+Subcommands: solve (also called decide), reduce, labellings, oracle, gen.
+Exit codes: 0 for a yes (under `--reduction all`, when some reduction says
+yes), 1 for a no (every reduction says no), 2 for input errors, 3 for
+internal errors (a witness that failed verification). Results go to stdout,
+diagnostics to stderr. `labellings`, `oracle` and `gen --labelling-mode
+complete` refuse inputs above the library's enumeration caps with exit 2,
+and `gen` refuses more expected attacks than its budget.
 """
 
 import argparse
@@ -31,8 +33,10 @@ from .reductions import REDUCTIONS, reduce as apply_reduction
 from .semantics import Labelling, enumerate_complete
 from .solvers import Decision, decide_all, verify_witness
 
-# `gen` draws one random number per ordered pair of arguments.
+# `gen` draws one random number per ordered pair of arguments, and keeps
+# about args² × attack_prob of them as attacks.
 GEN_ARGS_CAP = 5000
+GEN_ATTACK_BUDGET = 1_000_000
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -57,16 +61,14 @@ def _reduction_list(value: str) -> list[int]:
     return list(REDUCTIONS) if value == "all" else [int(value)]
 
 
-def _decisions(framework, labelling, reductions: str, verified: bool):
-    """Each asked-for reduction's decision in turn, every yes witness verified under `solve`."""
+def _decisions(framework, labelling, reductions: str):
+    """Each asked-for reduction's decision in turn, every yes witness verified."""
     for decision in decide_all(framework, labelling, _reduction_list(reductions)):
-        if decision.yes and verified:
-            if decision.witness is None or not verify_witness(
-                framework, labelling, decision.reduction, decision.witness
-            ):
-                raise _InternalError(
-                    f"witness for reduction {decision.reduction} failed verification"
-                )
+        if decision.yes and (
+            decision.witness is None
+            or not verify_witness(framework, labelling, decision.reduction, decision.witness)
+        ):
+            raise _InternalError(f"witness for reduction {decision.reduction} failed verification")
         yield decision
 
 
@@ -74,14 +76,14 @@ class _InternalError(Exception):
     pass
 
 
-def _cmd_decide(args, verified: bool) -> int:
+def _cmd_solve(args) -> int:
     framework_path, labelling_path = Path(args.framework), Path(args.labelling)
     if framework_path.is_dir() or labelling_path.is_dir():
-        return _run_batch(args, verified)
+        return _run_batch(args)
     framework, labelling = _load_instance(args.framework, args.labelling)
     any_yes = False
     started = time.perf_counter()
-    for decision in _decisions(framework, labelling, args.reduction, verified):
+    for decision in _decisions(framework, labelling, args.reduction):
         elapsed = (time.perf_counter() - started) * 1000.0
         print(
             emit_result(
@@ -95,7 +97,7 @@ def _cmd_decide(args, verified: bool) -> int:
     return EXIT_YES if any_yes else EXIT_NO
 
 
-def _run_batch(args, verified: bool) -> int:
+def _run_batch(args) -> int:
     """Directory mode: instances paired by stem, one JSON line per verdict.
 
     A pair that cannot be read or decided gets one error line instead, the
@@ -117,7 +119,7 @@ def _run_batch(args, verified: bool) -> int:
     for stem in stems:
         try:
             framework, labelling = _load_instance(str(frameworks[stem]), str(labellings[stem]))
-            decisions = list(_decisions(framework, labelling, args.reduction, verified))
+            decisions = list(_decisions(framework, labelling, args.reduction))
         except (PrefargError, OSError) as exc:
             failed = True
             print(json.dumps({"instance": stem, "error": str(exc)}))
@@ -161,6 +163,12 @@ def _cmd_gen(args) -> int:
         )
     if not 0.0 <= args.attack_prob <= 1.0:
         raise PrefargError("--attack-prob must lie in [0, 1]")
+    expected = args.args * args.args * args.attack_prob
+    if expected > GEN_ATTACK_BUDGET:
+        raise PrefargError(
+            f"--args {args.args} at --attack-prob {args.attack_prob} expects {expected:.0f}"
+            f" attacks, above the budget of {GEN_ATTACK_BUDGET}"
+        )
     rng = random.Random(args.seed)
     width = max(1, len(str(max(args.args - 1, 0))))
     names = [f"a{i:0{width}d}" for i in range(args.args)]
@@ -205,19 +213,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_instance_flags(p):
-        p.add_argument("--framework", required=True, help="APX file (or directory in batch mode)")
-        p.add_argument("--labelling", required=True, help="labelling JSON file (or directory)")
-        p.add_argument("--reduction", required=True, choices=[*map(str, REDUCTIONS), "all"])
-        p.add_argument("--format", choices=["json", "text"], default="json")
-
-    p_decide = sub.add_parser("decide", help="decide the inverse problem")
-    add_instance_flags(p_decide)
-    p_decide.set_defaults(func=lambda a: _cmd_decide(a, verified=False))
-
-    p_solve = sub.add_parser("solve", help="decide and emit a self-verified witness")
-    add_instance_flags(p_solve)
-    p_solve.set_defaults(func=lambda a: _cmd_decide(a, verified=True))
+    p_solve = sub.add_parser(
+        "solve", aliases=["decide"], help="decide and emit a self-verified witness"
+    )
+    p_solve.add_argument("--framework", required=True, help="APX file (or directory in batch mode)")
+    p_solve.add_argument("--labelling", required=True, help="labelling JSON file (or directory)")
+    p_solve.add_argument("--reduction", required=True, choices=[*map(str, REDUCTIONS), "all"])
+    p_solve.add_argument("--format", choices=["json", "text"], default="json")
+    p_solve.set_defaults(func=_cmd_solve)
 
     p_reduce = sub.add_parser("reduce", help="apply a reduction under an order file")
     p_reduce.add_argument("--framework", required=True)

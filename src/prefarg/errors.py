@@ -25,10 +25,6 @@ class InconsistentPreferenceError(PrefargError):
         self.cycle = tuple(cycle)
 
 
-class WpsgConstraintError(PrefargError):
-    """Reduction 2 was given a preference bit of 0 on a one-way attack."""
-
-
 class SizeLimitError(PrefargError):
     """An exhaustive enumeration was refused because the input is too large."""
 

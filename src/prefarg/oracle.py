@@ -12,7 +12,7 @@ from .reductions import _reduced_complete
 from .reductions import reduce  # noqa: F401
 from .semantics import Labelling, require_total
 
-DEFAULT_COMPONENT_CAP = 8
+COMPONENT_CAP = 8
 
 
 def weak_orders(items: Iterable[str]) -> Iterator[tuple[frozenset[str], ...]]:
@@ -39,25 +39,23 @@ def weak_orders(items: Iterable[str]) -> Iterator[tuple[frozenset[str], ...]]:
     yield from build(len(elements))
 
 
-def _weak_order_pools(
-    framework: Framework, component_cap: int
-) -> list[tuple[tuple[frozenset[str], ...], ...]]:
+def _weak_order_pools(framework: Framework) -> list[tuple[tuple[frozenset[str], ...], ...]]:
     """Every weak order of each component, components in `connected_components()` order.
 
     Refuses a component above the cap, and more orders in all than one at the cap has.
     """
     components = framework.connected_components()
     for component in components:
-        if len(component) > component_cap:
+        if len(component) > COMPONENT_CAP:
             raise SizeLimitError(
-                f"component of {len(component)} arguments exceeds the cap of {component_cap}"
+                f"component of {len(component)} arguments exceeds the cap of {COMPONENT_CAP}"
             )
-    counts = _ordered_bell_numbers(component_cap)
-    orders, limit = math.prod(counts[len(c)] for c in components), counts[component_cap]
+    counts = _ordered_bell_numbers(COMPONENT_CAP)
+    orders, limit = math.prod(counts[len(c)] for c in components), counts[COMPONENT_CAP]
     if orders > limit:
         raise SizeLimitError(
             f"{orders} orders over {len(components)} components exceed the {limit}"
-            f" of one component at the cap of {component_cap}"
+            f" of one component at the cap of {COMPONENT_CAP}"
         )
     return [tuple(weak_orders(component)) for component in components]
 
@@ -70,19 +68,14 @@ def _ordered_bell_numbers(n: int) -> list[int]:
     return counts
 
 
-def enumerate_orders(
-    framework: Framework, component_cap: int = DEFAULT_COMPONENT_CAP
-) -> Iterator[PreferenceOrder]:
+def enumerate_orders(framework: Framework) -> Iterator[PreferenceOrder]:
     """Every CC-wise total order, as independent weak orders per component."""
-    for combo in itertools.product(*_weak_order_pools(framework, component_cap)):
+    for combo in itertools.product(*_weak_order_pools(framework)):
         yield PreferenceOrder(tuple(itertools.chain.from_iterable(combo)))
 
 
 def brute_force_ex(
-    framework: Framework,
-    labelling: Labelling,
-    reduction: int,
-    component_cap: int = DEFAULT_COMPONENT_CAP,
+    framework: Framework, labelling: Labelling, reduction: int
 ) -> tuple[bool, PreferenceOrder | None]:
     """Search every order; return the first one making the labelling complete.
 
@@ -93,7 +86,7 @@ def brute_force_ex(
     require_total(framework, labelling)
     levels = [
         [{name: level for level, cls in enumerate(order) for name in cls} for order in pool]
-        for pool in _weak_order_pools(framework, component_cap)
+        for pool in _weak_order_pools(framework)
     ]
     for level_maps in itertools.product(*levels):
         rank: dict[str, int] = {}

@@ -5,7 +5,7 @@ the losing side of a mutual attack, 3 is the union of 1 and 2, and 4 deletes
 every attack from a strictly less preferred source.
 """
 
-from .errors import InvalidOrderError, WpsgConstraintError
+from .errors import InvalidOrderError
 from .framework import Framework
 from .preferences import PreferenceFunction, PreferenceOrder, pref_fn_to_order
 # benchmarks/tracing.py patches `validate_order` under this name.
@@ -68,30 +68,15 @@ def reduce(framework: Framework, order: PreferenceOrder, index: int) -> Framewor
     return _reduced(framework, order._rank, index)
 
 
-def graph_from_pref_fn(
-    framework: Framework,
-    fn: PreferenceFunction,
-    index: int,
-    *,
-    strict: bool = False,
-) -> Framework:
+def graph_from_pref_fn(framework: Framework, fn: PreferenceFunction, index: int) -> Framework:
     """Defeat graph induced directly by a consistent preference function.
 
     The canonical order realising a consistent function puts an attack's
     source strictly below its target exactly on the 0-bit attacks, so the
     function reduces as that order does. Reduction 2 keeps one-way attacks
-    whatever their bit; pass strict=True to reject a 0 bit on one of them
-    instead.
+    whatever their bit.
     """
     _check_index(index)
     order = pref_fn_to_order(framework, fn)
-    if index == 2 and strict:
-        # `pref_fn_to_order` has checked that the keys are the attacks.
-        zeros = [(s, t) for (s, t), bit in fn.bits.items() if not bit]
-        offenders = sorted((s, t) for s, t in zeros if (t, s) not in fn.bits)
-        if offenders:
-            raise WpsgConstraintError(
-                f"one-way attacks mapped to 0 under reduction 2: {offenders}"
-            )
     # `pref_fn_to_order` builds a CC-wise total order, so it needs no validation.
     return _reduced(framework, order._rank, index)

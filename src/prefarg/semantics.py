@@ -11,7 +11,7 @@ OUT = "out"
 UNDEC = "undec"
 LABELS = (IN, OUT, UNDEC)
 
-DEFAULT_LABELLING_CAP = 20
+LABELLING_CAP = 20
 
 
 class Labelling(_Value):
@@ -145,9 +145,7 @@ def grounded_labelling(framework: Framework) -> Labelling:
     return Labelling(in_args, out_args, framework.arguments.difference(in_args, out_args))
 
 
-def enumerate_complete(
-    framework: Framework, cap: int = DEFAULT_LABELLING_CAP
-) -> list[Labelling]:
+def enumerate_complete(framework: Framework) -> list[Labelling]:
     """All complete labellings, ordered by sorted in-set then out-set.
 
     The grounded labels are forced and fixed up front; the remaining
@@ -156,12 +154,12 @@ def enumerate_complete(
     connected components of the attack graph sources first, names within
     one. Every leaf is complete: the grounded labels satisfy their clauses,
     and each other argument's clause was checked once all of its attackers
-    were assigned. Refuses frameworks above `cap` arguments.
+    were assigned. Refuses frameworks above `LABELLING_CAP` arguments.
     """
     count = len(framework.arguments)
-    if count > cap:
+    if count > LABELLING_CAP:
         raise SizeLimitError(
-            f"enumeration over {count} arguments exceeds the cap of {cap}"
+            f"enumeration over {count} arguments exceeds the cap of {LABELLING_CAP}"
         )
     grounded = grounded_labelling(framework)
     assign: dict[str, str] = {a: IN for a in grounded.in_args}
@@ -172,6 +170,14 @@ def enumerate_complete(
     results: list[Labelling] = []
     attackers = framework._attackers
 
+    def could_be_in(name: str) -> bool:
+        # Open, not self-attacking, and no attacker labelled in or undec yet.
+        return (
+            name not in assign
+            and name not in attackers[name]
+            and all(assign.get(b, OUT) == OUT for b in attackers[name])
+        )
+
     def alive_around(name: str) -> bool:
         # Only the clauses that read the fresh label can newly fail: its own and its targets'.
         for node in {name} | framework._targets[name]:
@@ -179,18 +185,14 @@ def enumerate_complete(
             if label is None:
                 continue
             attacker_labels = [assign.get(b) for b in attackers[node]]
-            open_slots = any(lb is None for lb in attacker_labels)
             if label == IN:
                 if any(lb in (IN, UNDEC) for lb in attacker_labels):
                     return False
             elif label == OUT:
-                if not open_slots and IN not in attacker_labels:
+                if IN not in attacker_labels and not any(map(could_be_in, attackers[node])):
                     return False
-            else:
-                if IN in attacker_labels:
-                    return False
-                if not open_slots and all(lb == OUT for lb in attacker_labels):
-                    return False
+            elif IN in attacker_labels or all(lb == OUT for lb in attacker_labels):
+                return False
         return True
 
     def search(index: int) -> None:

@@ -112,7 +112,8 @@ def test_solve_on_complete_instance_emits_trivial_witness(example1_files, capsys
     assert payload["witness"] == [["a", "b", "c", "d"]]
 
 
-def test_solve_refuses_an_unverified_witness(tmp_path, two_arg_file, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["decide", "solve"])
+def test_solve_refuses_an_unverified_witness(tmp_path, two_arg_file, capsys, monkeypatch, command):
     from prefarg import Decision, PreferenceOrder
     from prefarg.solvers import DECIDERS
 
@@ -121,7 +122,7 @@ def test_solve_refuses_an_unverified_witness(tmp_path, two_arg_file, capsys, mon
 
     monkeypatch.setitem(DECIDERS, 1, broken_decider)
     lab = write(tmp_path, "l2.json", L2_JSON)
-    code = main(["solve", "--framework", str(two_arg_file), "--labelling", str(lab), "--reduction", "1"])
+    code = main([command, "--framework", str(two_arg_file), "--labelling", str(lab), "--reduction", "1"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
@@ -565,6 +566,21 @@ def test_gen_refuses_args_above_the_cap_at_once(capsys):
         assert time.perf_counter() - started < 1.0
         assert code == 2
         assert f"cap of {GEN_ARGS_CAP}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count, prob", [("1001", "1"), ("2000", "0.26"), ("5000", "0.5")])
+def test_gen_refuses_more_attacks_than_its_budget_at_once(tmp_path, capsys, count, prob):
+    from prefarg.cli import GEN_ATTACK_BUDGET
+
+    fw = tmp_path / "g.apx"
+    started = time.perf_counter()
+    code = main(["gen", "--args", count, "--attack-prob", prob, "--seed", "1", "--framework-out", str(fw)])
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(f"attacks, above the budget of {GEN_ATTACK_BUDGET}\n")
+    assert not fw.exists()
 
 
 def test_module_entry_point_decides(tmp_path, two_arg_file):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import random_framework
+from prefarg import oracle
 from prefarg import (
     Framework,
     Labelling,
@@ -65,10 +66,14 @@ def test_enumerated_orders_are_unique_and_valid():
             assert validate_order(fw, order)
 
 
-def test_enumerate_orders_respects_component_cap():
-    fw = Framework("abc", [("a", "b"), ("b", "c")])
-    with pytest.raises(SizeLimitError):
-        list(enumerate_orders(fw, component_cap=2))
+def test_enumerate_orders_respects_component_cap(monkeypatch):
+    # One 9-argument component, one above COMPONENT_CAP: refused before any weak order is built.
+    fw = disjoint_cycles(9)
+    monkeypatch.setattr(oracle, "weak_orders", None)
+    with pytest.raises(SizeLimitError, match="component of 9 arguments exceeds the cap of 8"):
+        next(enumerate_orders(fw))
+    with pytest.raises(SizeLimitError, match="component of 9 arguments"):
+        brute_force_ex(fw, Labelling(in_args=fw.arguments), 1)
 
 
 def test_oracle_refuses_more_orders_than_one_component_at_the_cap_has():

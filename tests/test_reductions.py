@@ -15,7 +15,6 @@ from prefarg import (
     Labelling,
     PreferenceFunction,
     PreferenceOrder,
-    WpsgConstraintError,
     emit_order,
     enumerate_orders,
     graph_from_pref_fn,
@@ -76,13 +75,6 @@ def test_graph_from_pref_fn_all_ones_reduction4_is_identity():
         fw = random_framework(rng, rng.randrange(0, 7), rng.random())
         fn = PreferenceFunction({att: 1 for att in fw.attacks})
         assert graph_from_pref_fn(fw, fn, 4) == fw
-
-
-def test_graph_from_pref_fn_strict_mode_rejects_one_way_zero():
-    fw = Framework("ab", [("a", "b")])
-    fn = PreferenceFunction({("a", "b"): 0})
-    with pytest.raises(WpsgConstraintError):
-        graph_from_pref_fn(fw, fn, 2, strict=True)
 
 
 def test_graph_from_pref_fn_lenient_mode_keeps_one_way_attacks():

@@ -98,9 +98,11 @@ def test_enumerate_complete_self_attacker_matches_brute_force():
 
 
 def test_enumerate_complete_respects_cap():
-    fw = Framework([f"n{i}" for i in range(5)])
-    with pytest.raises(SizeLimitError):
-        enumerate_complete(fw, cap=4)
+    # 21 arguments, one above LABELLING_CAP: refused before the targets table is read.
+    fw = Framework([f"n{i:02d}" for i in range(21)])
+    object.__setattr__(fw, "_targets", BoundedTable(fw._targets, budget=0))
+    with pytest.raises(SizeLimitError, match="enumeration over 21 arguments exceeds the cap of 20"):
+        enumerate_complete(fw)
 
 
 class BoundedTable(dict):
@@ -125,6 +127,23 @@ def test_enumeration_labels_attackers_before_their_targets():
     fw = Framework(names, [("z", name) for name in names])
     object.__setattr__(fw, "_targets", BoundedTable(fw._targets, budget=10 * n))
     assert [as_triple(l) for l in enumerate_complete(fw)] == [((), (), tuple(names))]
+
+
+@pytest.mark.parametrize("self_attacks", [False, True], ids=["mutual-clique", "complete-digraph"])
+def test_enumeration_is_polynomial_on_complete_digraphs(self_attacks):
+    # Every ordered pair of distinct arguments attacks. The complete labellings
+    # are all undec, or one argument in and the rest out; with self-attacks
+    # only all undec. An out argument with no in attacker is pruned once no
+    # open attacker can still be in (each attacks itself or has an in or undec
+    # attacker), so the search is polynomial in n instead of exponential.
+    n = 20
+    names = [f"a{i:02d}" for i in range(n)]
+    fw = Framework(names, [(a, b) for a in names for b in names if self_attacks or a != b])
+    object.__setattr__(fw, "_targets", BoundedTable(fw._targets, budget=3 * n * n))
+    expected = [((), (), tuple(names))]
+    if not self_attacks:
+        expected += [((a,), tuple(b for b in names if b != a), ()) for a in names]
+    assert [as_triple(l) for l in enumerate_complete(fw)] == expected
 
 
 def test_enumeration_matches_exhaustive_scan():
