@@ -80,13 +80,11 @@ class Framework(_Value):
 
     def __init__(self, arguments: Iterable[str] = (), attacks: Iterable[Attack] = ()):
         args = frozenset(arguments)
-        atts = frozenset((src, dst) for src, dst in attacks)
         for name in args:
             if not isinstance(name, str) or not NAME_PATTERN.match(name):
                 raise ValueError(f"bad argument name: {name!r}")
         object.__setattr__(self, "arguments", args)
-        object.__setattr__(self, "_attackers", _attacker_table(args, atts))
-        object.__setattr__(self, "attacks", atts)  # already built, so seed the cache
+        object.__setattr__(self, "_attackers", _attacker_table(args, list(attacks)))
 
     @classmethod
     def _derived(cls, arguments: frozenset[str], attackers: dict[str, set[str]]) -> "Framework":

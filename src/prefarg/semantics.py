@@ -148,25 +148,22 @@ def grounded_labelling(framework: Framework) -> Labelling:
 def enumerate_complete(framework: Framework) -> list[Labelling]:
     """All complete labellings, ordered by sorted in-set then out-set.
 
-    The grounded labels are forced and fixed up front; the remaining
-    arguments are branched over {in, out, undec} with pruning as soon as a
-    clause is unsatisfiable, attackers before their targets: strongly
+    The arguments are branched over {in, out, undec} with pruning as soon as
+    a clause is unsatisfiable, attackers before their targets: strongly
     connected components of the attack graph sources first, names within
-    one. Every leaf is complete: the grounded labels satisfy their clauses,
-    and each other argument's clause was checked once all of its attackers
-    were assigned. Refuses frameworks above `LABELLING_CAP` arguments.
+    one. Every leaf is complete: each argument's clause was checked once all
+    of its attackers were assigned. Refuses frameworks above
+    `LABELLING_CAP` arguments.
     """
     count = len(framework.arguments)
     if count > LABELLING_CAP:
         raise SizeLimitError(
             f"enumeration over {count} arguments exceeds the cap of {LABELLING_CAP}"
         )
-    grounded = grounded_labelling(framework)
-    assign: dict[str, str] = {a: IN for a in grounded.in_args}
-    assign.update((a, OUT) for a in grounded.out_args)
+    assign: dict[str, str] = {}
     # Tarjan numbers sinks first, so the highest ids are the sources.
     scc = _strongly_connected(sorted(framework.arguments), framework._targets.__getitem__)
-    free = sorted(framework.arguments - set(assign), key=lambda a: (-scc[a], a))
+    free = sorted(framework.arguments, key=lambda a: (-scc[a], a))
     results: list[Labelling] = []
     attackers = framework._attackers
 
@@ -178,20 +175,27 @@ def enumerate_complete(framework: Framework) -> list[Labelling]:
             and all(assign.get(b, OUT) == OUT for b in attackers[name])
         )
 
+    def ends_out(name: str) -> bool:
+        # Labelled out, or open with an attacker labelled in, so it can only end out.
+        label = assign.get(name)
+        return label == OUT or label is None and IN in map(assign.get, attackers[name])
+
     def alive_around(name: str) -> bool:
-        # Only the clauses that read the fresh label can newly fail: its own and its targets'.
-        for node in {name} | framework._targets[name]:
-            label = assign.get(node)
-            if label is None:
+        # Only the clauses that read the fresh label can newly fail: its own, its targets',
+        # and, unless it is out, those of the labelled arguments its open targets attack.
+        ahead = framework._targets[name] - assign.keys() if assign[name] != OUT else set()
+        for node, label in assign.items():
+            sources = attackers[node]
+            if node != name and name not in sources and ahead.isdisjoint(sources):
                 continue
-            attacker_labels = [assign.get(b) for b in attackers[node]]
+            attacker_labels = [assign.get(b) for b in sources]
             if label == IN:
                 if any(lb in (IN, UNDEC) for lb in attacker_labels):
                     return False
             elif label == OUT:
-                if IN not in attacker_labels and not any(map(could_be_in, attackers[node])):
+                if IN not in attacker_labels and not any(map(could_be_in, sources)):
                     return False
-            elif IN in attacker_labels or all(lb == OUT for lb in attacker_labels):
+            elif IN in attacker_labels or all(map(ends_out, sources)):
                 return False
         return True
 

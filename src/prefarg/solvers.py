@@ -199,35 +199,30 @@ def _rank_detail(framework: Framework, in_args: frozenset[str], undec: frozenset
     # Targets still to settle: in/undec ones for an in argument, in ones for an undec one.
     waiting = {a: sum(t in in_args or t in undec for t in targets[a]) for a in in_args}
     waiting.update((u, sum(t in in_args for t in targets[u])) for u in undec)
-    psi: dict[str, int] = {}
+    psi: dict[str, int] = {}  # the settled arguments
     eligible: set[str] = set()  # undec, past its in targets, without a settled undec attacker
-    primed: set[str] = set()  # undec, with a settled undec attacker
 
     def settle(queue: list[str], level: int, upcoming: list[str]) -> None:
         for node in queue:
+            psi[node] = level
             for other in attackers[node]:
                 if other in in_args or (other in undec and node in in_args):
                     waiting[other] -= 1
                     if waiting[other] == 0:
                         upcoming.append(other)
             if node in undec:
-                for other in targets[node]:
-                    if other in eligible:
-                        eligible.remove(other)
-                        psi[other] = level
-                        queue.append(other)
-                    elif other in undec:
-                        primed.add(other)
+                caught = targets[node] & eligible
+                eligible.difference_update(caught)
+                queue += caught
 
     ready = [a for a, count in waiting.items() if count == 0]
     level, scc = 0, None
     while ready:
         upcoming: list[str] = []
-        queue = [a for a in ready if a in in_args or a in primed]
-        fresh = [u for u in ready if u not in in_args and u not in primed]
-        psi.update(dict.fromkeys(queue, level))
+        # An unsettled argument's in attackers are unsettled too, so this asks for an undec one.
+        fresh = [u for u in ready if u in undec and psi.keys().isdisjoint(attackers[u])]
         eligible.update(fresh)
-        settle(queue, level, upcoming)
+        settle([a for a in ready if a not in eligible], level, upcoming)
         reach = [u for u in fresh if u in eligible and not eligible.isdisjoint(attackers[u])]
         if reach:
             scc = scc or _strongly_connected(undec, lambda u: targets[u] & undec)
@@ -239,7 +234,6 @@ def _rank_detail(framework: Framework, in_args: frozenset[str], undec: frozenset
                         reach.append(other)
             core = list(framework._cyclic_core(seen))
             eligible.difference_update(core)
-            psi.update(dict.fromkeys(core, level))
             settle(core, level, upcoming)
         ready = upcoming
         level += 1

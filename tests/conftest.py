@@ -342,3 +342,52 @@ def ex4_certificate_holds(framework: Framework, labelling: Labelling, certificat
         return False
     psi = kleene_rank(framework, in_args, undec)
     return certificate.witness == least([a for a, value in psi.items() if value > len(psi)])
+
+
+def shared_chain(k: int, length: int, closed: bool = False):
+    """K undec arguments that become eligible one level apart, each feeding one pending chain.
+
+    k_i attacks the in argument c_i, so it becomes eligible at level K - i + 1;
+    k_{i+1} attacks k_i, k_1 attacks z and z attacks k_K, so the cycle closes
+    only at level K, when every undec argument settles. `closed` adds an
+    attack from the chain's last pending argument to k_1, which puts the
+    pending chain inside the cycle's strongly connected component. Returns
+    the framework, the labelling, the in chain and the undec arguments.
+    """
+    chain = [f"c{i:03d}" for i in range(k + 1)]
+    waiting = {i: f"k{i:03d}" for i in range(1, k + 1)}
+    pending = [f"p{i:04d}" for i in range(length)]
+    attacks = [*zip(chain, chain[1:]), *zip(pending, pending[1:])]
+    attacks += [(waiting[i], chain[i]) for i in waiting]
+    attacks += [(waiting[i + 1], waiting[i]) for i in range(1, k)]
+    attacks += [(waiting[1], "z"), ("z", waiting[k])]
+    attacks += [(waiting[i], pending[0]) for i in waiting]
+    if closed:
+        attacks.append((pending[-1], waiting[1]))
+    undec = [*waiting.values(), *pending, "z"]
+    lab = Labelling(in_args=chain, undec_args=undec)
+    return Framework(chain + undec, attacks), lab, chain, undec
+
+
+class CountingTable(dict):
+    """An adjacency table that charges each read 1 plus the size of the set it returns."""
+
+    def __init__(self, table, meter: list[int]):
+        super().__init__(table)
+        self.meter = meter
+
+    def __getitem__(self, name):
+        found = super().__getitem__(name)
+        self.meter[0] += 1 + len(found)
+        return found
+
+
+def metered(framework: Framework):
+    """A copy of the framework whose attacker and target tables share one work meter.
+
+    Returns the copy and the meter, a one-element list holding the work so far.
+    """
+    meter = [0]
+    copy = Framework._derived(framework.arguments, CountingTable(framework._attackers, meter))
+    object.__setattr__(copy, "_targets", CountingTable(framework._targets, meter))
+    return copy, meter

@@ -135,8 +135,9 @@ def test_restrict_indexes_like_a_checked_build():
 def test_unknown_endpoints_name_the_least_attack(seed):
     attacks = [("z", "a"), ("b", "y"), ("a", "x"), ("a", "b")]
     random.Random(seed).shuffle(attacks)
-    with pytest.raises(UnknownArgumentError, match=r"\(a,x\)"):
-        Framework("ab", attacks)
+    for given in (attacks, iter(attacks)):
+        with pytest.raises(UnknownArgumentError, match=r"\(a,x\)"):
+            Framework("ab", given)
     apx = "arg(a). arg(b).\n" + "".join(f"att({s},{t}).\n" for s, t in attacks)
     with pytest.raises(UnknownArgumentError, match=r"\(a,x\)"):
         parse_apx(apx)
@@ -146,8 +147,9 @@ def test_unknown_endpoints_name_the_least_attack(seed):
 def test_unknown_sources_name_the_least_attack(seed):
     attacks = [("z", "a"), ("y", "b"), ("a", "b"), ("b", "a")]
     random.Random(seed).shuffle(attacks)
-    with pytest.raises(UnknownArgumentError, match=r"\(y,b\)"):
-        Framework("ab", attacks)
+    for given in (attacks, iter(attacks)):
+        with pytest.raises(UnknownArgumentError, match=r"\(y,b\)"):
+            Framework("ab", given)
     apx = "arg(a). arg(b).\n" + "".join(f"att({s},{t}).\n" for s, t in attacks)
     with pytest.raises(UnknownArgumentError, match=r"\(y,b\)"):
         parse_apx(apx)
@@ -176,6 +178,7 @@ def test_target_table_is_built_on_first_read():
         fw = random_framework(rng, rng.randrange(0, 8), rng.random() * 0.5)
         again = Framework(fw.arguments, fw.attacks)
         assert "_targets" not in vars(fw) and "_targets" not in vars(again)
+        assert "attacks" not in vars(again)
         for name in fw.arguments:
             assert fw.targets(name) == {t for s, t in fw.attacks if s == name}
         assert_indexed_like_a_checked_build(again)

@@ -129,20 +129,32 @@ def test_enumeration_labels_attackers_before_their_targets():
     assert [as_triple(l) for l in enumerate_complete(fw)] == [((), (), tuple(names))]
 
 
-@pytest.mark.parametrize("self_attacks", [False, True], ids=["mutual-clique", "complete-digraph"])
-def test_enumeration_is_polynomial_on_complete_digraphs(self_attacks):
-    # Every ordered pair of distinct arguments attacks. The complete labellings
-    # are all undec, or one argument in and the rest out; with self-attacks
-    # only all undec. An out argument with no in attacker is pruned once no
-    # open attacker can still be in (each attacks itself or has an in or undec
-    # attacker), so the search is polynomial in n instead of exponential.
+@pytest.mark.parametrize("shape", ["mutual-clique", "complete-digraph", "mutual-K10,10"])
+def test_enumeration_is_polynomial_on_complete_digraphs(shape):
+    # In the cliques every ordered pair of distinct arguments attacks: the
+    # complete labellings are all undec, or one argument in and the rest out;
+    # with self-attacks only all undec. An out argument with no in attacker is
+    # pruned once no open attacker can still be in (each attacks itself or has
+    # an in or undec attacker), so the search is polynomial in n instead of
+    # exponential.
+    # In K10,10 each side attacks every argument of the other: all undec, or
+    # one side in and the other out. Once a side's argument turns in or undec,
+    # the labels of its own side are re-checked through the open other side,
+    # whose arguments can no longer be in and, under an in one, must end out.
     n = 20
     names = [f"a{i:02d}" for i in range(n)]
-    fw = Framework(names, [(a, b) for a in names for b in names if self_attacks or a != b])
-    object.__setattr__(fw, "_targets", BoundedTable(fw._targets, budget=3 * n * n))
     expected = [((), (), tuple(names))]
-    if not self_attacks:
-        expected += [((a,), tuple(b for b in names if b != a), ()) for a in names]
+    if shape == "mutual-K10,10":
+        sides = names[:10], names[10:]
+        attacks = [(a, b) for one, other in (sides, sides[::-1]) for a in one for b in other]
+        expected += [(tuple(one), tuple(other), ()) for one, other in (sides, sides[::-1])]
+    else:
+        self_attacks = shape == "complete-digraph"
+        attacks = [(a, b) for a in names for b in names if self_attacks or a != b]
+        if not self_attacks:
+            expected += [((a,), tuple(b for b in names if b != a), ()) for a in names]
+    fw = Framework(names, attacks)
+    object.__setattr__(fw, "_targets", BoundedTable(fw._targets, budget=3 * n * n))
     assert [as_triple(l) for l in enumerate_complete(fw)] == expected
 
 

@@ -12,6 +12,7 @@ from conftest import (
     random_framework,
     random_labelling,
     reference_rank_detail,
+    shared_chain,
 )
 from prefarg import (
     DomainMismatchError,
@@ -457,30 +458,9 @@ def test_rank_settles_an_undec_cycle_that_becomes_eligible_late():
     assert decide_ex4(fw, lab).yes
 
 
-def _shared_chain(k: int, length: int):
-    """K undec arguments that become eligible one level apart, each feeding one pending chain.
-
-    k_i attacks the in argument c_i, so it becomes eligible at level K - i + 1;
-    k_{i+1} attacks k_i, k_1 attacks z and z attacks k_K, so the cycle closes
-    only at level K, when every undec argument settles. Returns the framework,
-    the labelling, the in chain and the undec arguments.
-    """
-    chain = [f"c{i:03d}" for i in range(k + 1)]
-    waiting = {i: f"k{i:03d}" for i in range(1, k + 1)}
-    pending = [f"p{i:04d}" for i in range(length)]
-    attacks = [*zip(chain, chain[1:]), *zip(pending, pending[1:])]
-    attacks += [(waiting[i], chain[i]) for i in waiting]
-    attacks += [(waiting[i + 1], waiting[i]) for i in range(1, k)]
-    attacks += [(waiting[1], "z"), ("z", waiting[k])]
-    attacks += [(waiting[i], pending[0]) for i in waiting]
-    undec = [*waiting.values(), *pending, "z"]
-    lab = Labelling(in_args=chain, undec_args=undec)
-    return Framework(chain + undec, attacks), lab, chain, undec
-
-
 def test_rank_settles_eligible_arguments_that_wait_on_a_shared_chain():
     k = 200
-    fw, lab, chain, undec = _shared_chain(k, 1000)
+    fw, lab, chain, undec = shared_chain(k, 1000)
     psi = rank(fw, lab)
     assert {psi[u] for u in undec} == {k}
     assert [psi[c] for c in chain] == list(range(k, -1, -1))
@@ -489,7 +469,7 @@ def test_rank_settles_eligible_arguments_that_wait_on_a_shared_chain():
 
 def test_rank_peels_a_shared_chain_once_not_once_per_level(monkeypatch):
     """Each level's reach stays inside its fresh arguments' SCCs, and the chain's are singletons."""
-    fw, lab, _, _ = _shared_chain(200, 1000)
+    fw, lab, _, _ = shared_chain(200, 1000)
     peeled = []
     cyclic_core = Framework._cyclic_core
 

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -33,3 +34,28 @@ def test_a_cold_start_loads_neither_dataclasses_nor_inspect():
     loaded = ast.literal_eval(done.stdout)
     assert "prefarg.cli" in loaded
     assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+def _tracer_pins() -> set[tuple[str, str]]:
+    """The (module, name) pairs `benchmarks/tracing.py` patches, read from its source."""
+    tree = ast.parse((ROOT / "benchmarks" / "tracing.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "MODULE_TARGETS":
+            return {(module, name) for module, name, _ in ast.literal_eval(node.value)}
+    raise AssertionError("tracing.py has no MODULE_TARGETS")
+
+
+def test_every_import_is_read_unless_the_tracer_patches_it():
+    """An import its module never reads is dead, unless the tracer patches it under that name."""
+    unread = set()
+    for path in sorted(Path(prefarg.__file__).parent.glob("*.py")):
+        name = "prefarg" if path.stem == "__init__" else f"prefarg.{path.stem}"
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        imports = (node for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom)))
+        aliases = (alias for node in imports for alias in node.names)
+        bound = {(alias.asname or alias.name).split(".")[0] for alias in aliases}
+        name_nodes = (node for node in nodes if isinstance(node, ast.Name))
+        read = {node.id for node in name_nodes if isinstance(node.ctx, ast.Load)}
+        read.update(getattr(importlib.import_module(name), "__all__", ()))
+        unread |= {(name, imported) for imported in bound - read}
+    assert unread - _tracer_pins() == set()
