@@ -46,7 +46,6 @@ from .semantics import (
     Labelling,
     completeness_violation,
     enumerate_complete,
-    grounded_labelling,
     is_complete,
     require_total,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "enumerate_complete",
     "enumerate_orders",
     "graph_from_pref_fn",
-    "grounded_labelling",
     "is_complete",
     "is_valid_ranking",
     "order_to_pref_fn",

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the bounded way messages list names."""
+
+from typing import Collection
 
 
 class PrefargError(Exception):
@@ -35,3 +37,9 @@ class ParseError(PrefargError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
+
+
+def least_names(names: Collection[str]) -> str:
+    """The five least names, each cut to 40 characters, and how many more there are."""
+    least = [name[:40] for name in sorted(names)[:5]]
+    return str(least) + (f" and {len(names) - 5} more" if len(names) > 5 else "")

@@ -1,8 +1,8 @@
-"""Immutable argumentation frameworks and the graph queries built on them."""
+"""Immutable argumentation frameworks and every graph traversal the package runs."""
 
 import re
 from functools import cached_property
-from typing import AbstractSet, Collection, Iterable
+from typing import AbstractSet, Callable, Collection, Iterable
 
 from .errors import UnknownArgumentError
 
@@ -29,7 +29,7 @@ def _attacker_table(args: frozenset[str], attacks: Collection[Attack]) -> dict[s
             key=lambda att: (str(att[0]), str(att[1])),
         )
         raise UnknownArgumentError(
-            f"attack ({src},{dst}) references an unknown argument"
+            f"attack ({str(src)[:40]},{str(dst)[:40]}) references an unknown argument"
         ) from None
     return table
 
@@ -201,3 +201,66 @@ class Framework(_Value):
     def has_cycle(self) -> bool:
         """True when a directed attack cycle exists; self-attacks count."""
         return bool(self._cyclic_core(self.arguments))
+
+
+def _strongly_connected(
+    nodes: Iterable[str], successors: Callable[[str], Iterable[str]]
+) -> dict[str, int]:
+    """Iterative Tarjan; maps every node to a component id.
+
+    Components are numbered sinks first: every edge between two components
+    runs from a higher id to a lower one.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    component: dict[str, int] = {}
+    next_id = 0
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work: list[tuple[str, Iterable[str]]] = [(root, iter(successors(root)))]
+        while work:
+            node, it = work[-1]
+            for nxt in it:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    work.append((nxt, iter(successors(nxt))))
+                    break
+                if nxt not in component:  # visited but in no component yet: on the stack
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    top = None
+                    while top != node:
+                        top = stack.pop()
+                        component[top] = next_id
+                    next_id += 1
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+    return component
+
+
+def _bfs_path(start: str, goal: str, successors: Callable[[str], Iterable[str]]) -> list[str]:
+    """Shortest node path from start to goal (inclusive); assumes one exists."""
+    if start == goal:
+        return [start]
+    parent = {start: start}
+    queue = [start]
+    for node in queue:
+        for nxt in sorted(successors(node)):
+            if nxt in parent:
+                continue
+            parent[nxt] = node
+            if nxt == goal:
+                path = [goal]
+                while path[-1] != start:
+                    path.append(parent[path[-1]])
+                return list(reversed(path))
+            queue.append(nxt)
+    raise AssertionError("no path found inside a strongly connected set")

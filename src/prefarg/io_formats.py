@@ -9,7 +9,7 @@ import re
 from itertools import chain
 from typing import Iterable
 
-from .errors import InvalidOrderError, ParseError
+from .errors import InvalidOrderError, ParseError, least_names
 from .framework import NAME_CHARS, NAME_PATTERN, Attack, Framework, _attacker_table
 from .preferences import PreferenceOrder, validate_order
 from .reductions import REDUCTIONS
@@ -83,7 +83,7 @@ def _load_json(text: str, what: str):
         obj: dict = {}
         for key, value in pairs:
             if key in obj:
-                raise ParseError(f"{what} repeats the JSON key {key!r}")
+                raise ParseError(f"{what} repeats the JSON key {key[:40]!r}")
             obj[key] = value
         return obj
 
@@ -100,7 +100,7 @@ def parse_labelling(text: str) -> Labelling:
         raise ParseError("labelling must be a JSON object")
     unknown = set(data) - {IN, OUT, UNDEC}
     if unknown:
-        raise ParseError(f"unknown labelling keys: {sorted(unknown)}")
+        raise ParseError(f"unknown labelling keys: {least_names(unknown)}")
     sets = {key: _names(data.get(key, []), f"labelling key {key!r}") for key in (IN, OUT, UNDEC)}
     try:
         return Labelling(sets[IN], sets[OUT], sets[UNDEC])
@@ -132,7 +132,7 @@ def parse_order(text: str) -> PreferenceOrder:
             names = [n.strip() for n in chunk.split("=")]
             for name in names:
                 if not NAME_PATTERN.match(name):
-                    raise ParseError(f"bad argument name {name!r}", line=lineno)
+                    raise ParseError(f"bad argument name {name[:40]!r}", line=lineno)
             classes.append(frozenset(names))
     try:
         return PreferenceOrder(classes)

@@ -7,10 +7,10 @@ below b). A function is consistent when no chain of these constraints
 closes into a cycle containing a strict step.
 """
 
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import DomainMismatchError, InconsistentPreferenceError, InvalidOrderError
-from .framework import Attack, Framework, _Value
+from .framework import Attack, Framework, _Value, _bfs_path, _strongly_connected
 
 
 class PreferenceOrder(_Value):
@@ -73,69 +73,6 @@ def _require_total_fn(framework: Framework, fn: PreferenceFunction) -> None:
         raise DomainMismatchError(
             "preference function domain differs from the framework's attacks"
         )
-
-
-def _strongly_connected(
-    nodes: Iterable[str], successors: Callable[[str], Iterable[str]]
-) -> dict[str, int]:
-    """Iterative Tarjan; maps every node to a component id.
-
-    Components are numbered sinks first: every edge between two components
-    runs from a higher id to a lower one.
-    """
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    stack: list[str] = []
-    component: dict[str, int] = {}
-    next_id = 0
-    for root in nodes:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        work: list[tuple[str, Iterable[str]]] = [(root, iter(successors(root)))]
-        while work:
-            node, it = work[-1]
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = len(index)
-                    stack.append(nxt)
-                    work.append((nxt, iter(successors(nxt))))
-                    break
-                if nxt not in component:  # visited but in no component yet: on the stack
-                    low[node] = min(low[node], index[nxt])
-            else:
-                work.pop()
-                if low[node] == index[node]:
-                    top = None
-                    while top != node:
-                        top = stack.pop()
-                        component[top] = next_id
-                    next_id += 1
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-    return component
-
-
-def _bfs_path(start: str, goal: str, successors: Callable[[str], Iterable[str]]) -> list[str]:
-    """Shortest node path from start to goal (inclusive); assumes one exists."""
-    if start == goal:
-        return [start]
-    parent = {start: start}
-    queue = [start]
-    for node in queue:
-        for nxt in sorted(successors(node)):
-            if nxt in parent:
-                continue
-            parent[nxt] = node
-            if nxt == goal:
-                path = [goal]
-                while path[-1] != start:
-                    path.append(parent[path[-1]])
-                return list(reversed(path))
-            queue.append(nxt)
-    raise AssertionError("no path found inside a strongly connected set")
 
 
 def _walk_components(

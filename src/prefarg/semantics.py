@@ -1,10 +1,9 @@
-"""Complete labellings: verification, the grounded fixpoint, and enumeration."""
+"""Complete labellings: verification and enumeration."""
 
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import DomainMismatchError, SizeLimitError, UnknownArgumentError
-from .framework import Framework, _Value
-from .preferences import _strongly_connected
+from .errors import DomainMismatchError, SizeLimitError, UnknownArgumentError, least_names
+from .framework import Framework, _Value, _strongly_connected
 
 IN = "in"
 OUT = "out"
@@ -74,8 +73,8 @@ def require_total(framework: Framework, labelling: Labelling) -> None:
     arguments = framework.arguments
     parts = (labelling.in_args, labelling.out_args, labelling.undec_args)
     if sum(map(len, parts)) != len(arguments) or not all(map(arguments.issuperset, parts)):
-        missing = sorted(arguments - labelling.arguments())
-        extra = sorted(labelling.arguments() - arguments)
+        missing = least_names(arguments - labelling.arguments())
+        extra = least_names(labelling.arguments() - arguments)
         raise DomainMismatchError(
             f"labelling does not match the framework (missing {missing}, extra {extra})"
         )
@@ -122,27 +121,6 @@ def completeness_violation(framework: Framework, labelling: Labelling) -> Certif
 
 def is_complete(framework: Framework, labelling: Labelling) -> bool:
     return completeness_violation(framework, labelling) is None
-
-
-def grounded_labelling(framework: Framework) -> Labelling:
-    """Least fixpoint: unattacked arguments in, their targets out, and so on.
-
-    One worklist pass (Modgil & Caminada 2009): `left` counts each argument's
-    attackers not yet out. An argument goes in when its count reaches 0, and
-    then its targets go out.
-    """
-    targets = framework._targets
-    left = {a: len(srcs) for a, srcs in framework._attackers.items()}
-    in_args = [a for a, count in left.items() if count == 0]
-    out_args: set[str] = set()
-    for name in in_args:
-        for beaten in targets[name] - out_args:
-            out_args.add(beaten)
-            for other in targets[beaten]:
-                left[other] -= 1
-                if left[other] == 0:
-                    in_args.append(other)
-    return Labelling(in_args, out_args, framework.arguments.difference(in_args, out_args))
 
 
 def enumerate_complete(framework: Framework) -> list[Labelling]:

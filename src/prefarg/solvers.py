@@ -11,8 +11,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainMismatchError, InvalidOrderError
-from .framework import Framework
-from .preferences import PreferenceOrder, _strongly_connected, order_by_depth
+from .framework import Framework, _strongly_connected
+from .preferences import PreferenceOrder, order_by_depth
 # benchmarks/tracing.py patches `validate_order` under this name.
 from .preferences import validate_order
 # Unused here: benchmarks/tracing.py patches `pref_fn_to_order` under this name.
@@ -98,15 +98,15 @@ def _witness(framework: Framework, labelling: Labelling, depth: dict) -> Prefere
 def _acyclic_undec_blocks(framework: Framework, labelling: Labelling, depth: dict):
     """Layer the in arguments (depth 0) and the undec ones, from their cyclic core, into `depth`.
 
-    Then yield each undec block that layering missed, by least name; the
-    caller layers it into `depth` before asking for the next, or stops.
+    Then yield each undec block that layering missed, once, by least name.
     """
     undec = labelling.undec_args
     depth.update(dict.fromkeys(labelling.in_args, 0))
     framework._layer(framework._cyclic_core(undec), depth, undec)
+    missed: dict[str, int] = {}
     for start in sorted(undec):
-        if start not in depth:
-            yield frozenset(framework._layer((start,), {}, undec))
+        if start not in depth and start not in missed:
+            yield frozenset(framework._layer((start,), missed, undec))
 
 
 def _trivial_yes(framework: Framework, reduction: int) -> Decision:

@@ -468,6 +468,32 @@ def test_solve_refuses_a_labelling_with_a_repeated_key(tmp_path, two_arg_file, c
     assert err == "error: labelling repeats the JSON key 'in'\n"
 
 
+@pytest.mark.parametrize(
+    "command, apx, flag, text",
+    [
+        ("solve", apx_text([f"a{i}" for i in range(100_000)], []), "--labelling", "{}"),
+        ("solve", TWO_ARG_APX, "--labelling", json.dumps({f"k{i}": [] for i in range(20_000)})),
+        ("reduce", EXAMPLE1_APX, "--order", "a < " + "!" * 300_000 + "\n"),
+        ("solve", TWO_ARG_APX, "--labelling", '{"%s": [], "%s": []}' % ("x" * 300_000, "x" * 300_000)),
+        ("solve", f"arg(a). att({'x' * 300_000},a).\n", "--labelling", L2_JSON),
+    ],
+    ids=[
+        "unlabelled-arguments",
+        "unknown-labelling-keys",
+        "bad-order-name",
+        "repeated-key",
+        "unknown-endpoint",
+    ],
+)
+def test_an_input_error_is_one_short_line(tmp_path, capsys, command, apx, flag, text):
+    fw, other = write(tmp_path, "f.apx", apx), write(tmp_path, "other", text)
+    code = main([command, "--framework", str(fw), flag, str(other), "--reduction", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 300
+
+
 def test_exhaustive_small_cli_agreement(tmp_path, capsys):
     # decide and oracle must agree cell by cell on a small instance matrix
     fw = write(tmp_path, "fw.apx", TWO_ARG_APX)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_framework
 from prefarg import Framework
-from prefarg.preferences import _strongly_connected
+from prefarg.framework import _bfs_path, _strongly_connected
 
 nx = pytest.importorskip("networkx")
 
@@ -103,3 +103,20 @@ def test_strongly_connected_numbers_sinks_first():
         component = _strongly_connected(sorted(fw.arguments), successors.__getitem__)
         for src, dst in fw.attacks:
             assert component[src] >= component[dst]
+
+
+def test_bfs_path_is_a_shortest_path_inside_a_strong_component():
+    rng = random.Random(59)
+    lengths = set()
+    for fw in random_frameworks(60):
+        graph = as_digraph(fw)
+        successors = {a: sorted(fw.targets(a)) for a in fw.arguments}
+        for scc in nx.strongly_connected_components(graph):
+            members = sorted(scc)
+            start, goal = rng.choice(members), rng.choice(members)
+            path = _bfs_path(start, goal, successors.__getitem__)
+            assert path[0] == start and path[-1] == goal
+            assert all(graph.has_edge(src, dst) for src, dst in zip(path, path[1:]))
+            assert len(path) == len(nx.shortest_path(graph, start, goal))
+            lengths.add(len(path))
+    assert {1, 2, 3} <= lengths

@@ -8,6 +8,7 @@ from conftest import (
     kleene_rank,
     reference_brute_force_ex,
     reference_conditions_1_2,
+    reference_grounded,
     reference_reduce,
 )
 from prefarg import (
@@ -28,7 +29,6 @@ from prefarg import (
     emit_labelling,
     emit_order,
     emit_result,
-    grounded_labelling,
     is_complete,
     parse_apx,
     parse_labelling,
@@ -64,7 +64,7 @@ def instances(draw, labels=("in", "out", "undec"), size=len(NAMES)):
     label = dict(zip(names, marks))
     if names and draw(st.booleans()):
         redrawn = draw(st.sets(st.sampled_from(names), min_size=1, max_size=2))
-        grounded = grounded_labelling(framework)
+        grounded = reference_grounded(framework)
         label.update((a, grounded.label(a)) for a in names if a not in redrawn)
         if not set(label.values()) <= set(labels):
             label = dict(zip(names, marks))
@@ -232,7 +232,7 @@ def test_reduced_attackers_match_the_literal_reduction(data):
     references = {r: reference_reduce(fw, order, r) for r in REDUCTIONS}
     # The grounded labelling of each reduced graph is complete under that reduction.
     candidates = [data.draw(labellings(fw))]
-    candidates += [grounded_labelling(graph) for graph in references.values()]
+    candidates += [reference_grounded(graph) for graph in references.values()]
     for r, reference in references.items():
         assert reduce(fw, order, r) == reference
         for lab in candidates:
@@ -248,6 +248,6 @@ def test_oracle_matches_the_reduce_based_reference(data):
         lab = data.draw(labellings(fw))
     else:
         graph = reference_reduce(fw, data.draw(orders(fw)), data.draw(st.sampled_from(REDUCTIONS)))
-        lab = grounded_labelling(graph)
+        lab = reference_grounded(graph)
     for r in REDUCTIONS:
         assert brute_force_ex(fw, lab, r) == reference_brute_force_ex(fw, lab, r)

@@ -185,6 +185,14 @@ def test_acyclic_undec_blocks_need_weak_removal(shape):
     assert refused.certificate.witness == ("a", "b", "c", "d")
 
 
+def test_acyclic_undec_blocks_yield_each_missed_block_once():
+    # Listed without layering any block: the cyclic x-y-z part is layered, the two paths are missed.
+    attacks = [("a", "b"), ("b", "c"), ("d", "e"), ("x", "y"), ("y", "x"), ("y", "z")]
+    fw = Framework("abcdexyz", attacks)
+    blocks = list(solvers._acyclic_undec_blocks(fw, Labelling(undec_args=fw.arguments), {}))
+    assert blocks == [frozenset("abc"), frozenset("de")]
+
+
 # --- reductions 1 and 3 on undec parts of several blocks --------------------
 
 # Block shapes over local positions 0..2; each block gets fresh names.
