@@ -10,6 +10,7 @@ and `gen` refuses more expected attacks than its budget.
 """
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -253,9 +254,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # The cyclic collector is paused for the call, and the caller's setting restored: the
+    # solve path makes no reference cycles, so the collector would only walk the live index.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except _InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
@@ -263,6 +267,9 @@ def main(argv=None) -> int:
     except (PrefargError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

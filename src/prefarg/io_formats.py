@@ -6,7 +6,7 @@ parse and emit are mutually inverse on those canonical forms.
 
 import json
 import re
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable
 
 from .errors import InvalidOrderError, ParseError, least_names
@@ -42,7 +42,7 @@ def parse_apx(text: str) -> Framework:
     names, pairs = _ARG.findall(text), _ATT.findall(text)
     # Facts never overlap, so the text holds nothing else exactly when its
     # non-blank characters are theirs: 6 + name for `arg`, 7 + both names for `att`.
-    names_len = sum(map(len, names)) + sum(map(len, chain.from_iterable(pairs)))
+    names_len = len("".join(names)) + len("".join(chain.from_iterable(pairs)))
     if len("".join(text.split())) != 6 * len(names) + 7 * len(pairs) + names_len:
         raise _content_error(text)
     args = frozenset(names)
@@ -71,7 +71,7 @@ def emit_apx(framework: Framework) -> str:
 
 
 def _names(value, what: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+    if not isinstance(value, list) or not all(map(isinstance, value, repeat(str))):
         raise ParseError(f"{what} must be a list of argument names")
     return value
 

@@ -28,7 +28,7 @@ class Labelling(_Value):
         undec_args: Iterable[str] = (),
     ):
         i, o, u = frozenset(in_args), frozenset(out_args), frozenset(undec_args)
-        if i & o or i & u or o & u:
+        if not (i.isdisjoint(o) and i.isdisjoint(u) and o.isdisjoint(u)):
             raise ValueError("labelling sets overlap")
         object.__setattr__(self, "in_args", i)
         object.__setattr__(self, "out_args", o)
@@ -107,7 +107,16 @@ def completeness_violation(framework: Framework, labelling: Labelling) -> Certif
     Clause 3: an argument is undec exactly when neither of the above holds.
     """
     require_total(framework, labelling)
-    name = min(_violators(labelling, framework._attackers.__getitem__), default=None)
+    return _least_violation(
+        framework, labelling, _violators(labelling, framework._attackers.__getitem__)
+    )
+
+
+def _least_violation(
+    framework: Framework, labelling: Labelling, violators: Iterable[str]
+) -> Certificate | None:
+    """The certificate of `completeness_violation` for the least of the given violators."""
+    name = min(violators, default=None)
     if name is None:
         return None
     if name in labelling.in_args:

@@ -20,7 +20,9 @@ from .preferences import pref_fn_to_order  # noqa: F401
 from .reductions import _check_index, _reduced_complete
 # Unused here: benchmarks/tracing.py patches `reduce` under this name.
 from .reductions import reduce  # noqa: F401
-from .semantics import Certificate, Labelling, completeness_violation, require_total
+from .semantics import Certificate, Labelling, _least_violation, _violators, require_total
+# Unused here: benchmarks/tracing.py patches `completeness_violation` under this name.
+from .semantics import completeness_violation  # noqa: F401
 
 
 class Decision(NamedTuple):
@@ -34,51 +36,61 @@ class Decision(NamedTuple):
         return "yes" if self.yes else "no"
 
 
-def _conditions_1_2(framework: Framework, labelling: Labelling) -> Certificate | None:
-    """First violation of conditions 1-2, shared by reductions 1 and 3.
+def _conditions_1_2(
+    framework: Framework, labelling: Labelling, violators: list[str]
+) -> Certificate | None:
+    """First violation of conditions 1-2, shared by reductions 1 and 3, read off the violators.
 
     Condition 1 forbids attacks inside I x I, I x U and U x I: an attack
     into an in argument from a non-out one, or into an undec argument from
-    an in one. Condition 2 asks every out argument for an in-labelled
-    attacker or target. Both read the attacker table alone.
+    an in one. The targets of those attacks are the in violators and the
+    undec violators with an in attacker. Condition 2 asks every out argument
+    for an in-labelled attacker or target, so only an out violator can fail
+    it, and only when no in argument's attackers hold it.
     """
     in_args, out_args = labelling.in_args, labelling.out_args
     attackers = framework._attackers
     clashes = [
-        (s, d) for d in in_args if not attackers[d] <= out_args for s in attackers[d] - out_args
-    ]
-    clashes += [
         (s, d)
-        for d in labelling.undec_args
-        if not in_args.isdisjoint(attackers[d])
-        for s in attackers[d] & in_args
+        for d in violators
+        if d not in out_args
+        for s in (attackers[d] - out_args if d in in_args else attackers[d] & in_args)
     ]
     if clashes:
         return Certificate(1, min(clashes), "attack between in/undec labelled arguments")
-    unattacking = out_args.difference(*(attackers[a] for a in in_args))
-    name = min((a for a in unattacking if in_args.isdisjoint(attackers[a])), default=None)
-    if name is not None:
-        return Certificate(2, (name,), "out argument with no in-labelled neighbour")
+    unattacked = [a for a in violators if a in out_args]
+    if unattacked:
+        untouched = set(unattacked).difference(*(attackers[a] for a in in_args))
+        if untouched:
+            detail = "out argument with no in-labelled neighbour"
+            return Certificate(2, (min(untouched),), detail)
     return None
 
 
 class _Checks:
     """The rejection checks on one (framework, labelling), each run at most once.
 
-    A decider makes its own unless `decide_all` hands it the instance's, so
-    the checks never outlive the call that asked for them.
+    All of them read the completeness violators, listed by one scan of the
+    labelled arguments' attackers. A decider makes its own unless
+    `decide_all` hands it the instance's, so the checks never outlive the
+    call that asked for them.
     """
 
     def __init__(self, framework: Framework, labelling: Labelling):
         self.framework, self.labelling = framework, labelling
 
     @cached_property
+    def violators(self) -> list[str]:
+        require_total(self.framework, self.labelling)
+        return list(_violators(self.labelling, self.framework._attackers.__getitem__))
+
+    @cached_property
     def violation(self) -> Certificate | None:
-        return completeness_violation(self.framework, self.labelling)
+        return _least_violation(self.framework, self.labelling, self.violators)
 
     @cached_property
     def conditions_1_2(self) -> Certificate | None:
-        return _conditions_1_2(self.framework, self.labelling)
+        return _conditions_1_2(self.framework, self.labelling, self.violators)
 
 
 def _witness(framework: Framework, labelling: Labelling, depth: dict) -> PreferenceOrder:
@@ -285,14 +297,15 @@ def decide_ex4(framework: Framework, labelling: Labelling, *, checks=None) -> De
     a ranking yields the witness by dropping every attack that runs strictly
     downhill.
     """
-    if (checks or _Checks(framework, labelling)).violation is None:
+    checks = checks or _Checks(framework, labelling)
+    if checks.violation is None:
         return _trivial_yes(framework, 4)
-    in_args, out_args = labelling.in_args, labelling.out_args
-    name = min((a for a in out_args if in_args.isdisjoint(framework._attackers[a])), default=None)
+    # An out argument without an in attacker is an out violator.
+    name = min((a for a in checks.violators if a in labelling.out_args), default=None)
     if name is not None:
         detail = "out argument without an in-labelled attacker"
         return Decision(False, 4, certificate=Certificate(1, (name,), detail))
-    psi, failure = _rank_detail(framework, in_args, labelling.undec_args)
+    psi, failure = _rank_detail(framework, labelling.in_args, labelling.undec_args)
     if psi is None:
         return Decision(False, 4, certificate=failure)
     return Decision(True, 4, witness=_witness(framework, labelling, psi))
@@ -310,8 +323,8 @@ def decide_all(
 ) -> Iterator[Decision]:
     """Yield `decide(framework, labelling, r)` for each reduction r in turn.
 
-    The completeness check and the conditions 1-2 scan run at most once,
-    under the first reduction that needs each, and are dropped with the
+    The scan for completeness violators runs at most once, under the first
+    reduction, and every check reads its list; all are dropped with the
     generator.
     """
     checks = _Checks(framework, labelling)

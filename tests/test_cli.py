@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import EXAMPLE1_APX, REPEATED_KEY_LABELLINGS
+from conftest import EXAMPLE1_APX, REPEATED_KEY_LABELLINGS, shared_chain
+from prefarg import cli, emit_apx, emit_labelling
 from prefarg.cli import main
 
 TWO_ARG_APX = "arg(a). arg(b). att(a,b).\n"
@@ -622,3 +624,74 @@ def test_module_entry_point_decides(tmp_path, two_arg_file):
     result = json.loads(done.stdout)
     del result["elapsed_ms"]
     assert result == {"verdict": "yes", "reduction": 1, "witness": [["a"], ["b"]], "certificate": None}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_pauses_the_collector_and_leaves_it_as_it_found_it(
+    tmp_path, two_arg_file, capsys, monkeypatch, enabled
+):
+    """Paused inside the call; restored on exit 0, 1 and 2 and on argparse's SystemExit."""
+    seen = []
+    decide_all = cli.decide_all
+
+    def watched(*args):
+        seen.append(gc.isenabled())
+        return decide_all(*args)
+
+    monkeypatch.setattr(cli, "decide_all", watched)
+    solve = ["solve", "--framework", str(two_arg_file), "--reduction", "1", "--labelling"]
+    runs = [
+        ([*solve, str(write(tmp_path, "l2.json", L2_JSON))], 0),
+        ([*solve, str(write(tmp_path, "l3.json", L3_JSON))], 1),
+        ([*solve, str(tmp_path / "absent.json")], 2),
+    ]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in runs:
+            assert (main(argv), gc.isenabled()) == (code, enabled)
+        with pytest.raises(SystemExit):
+            main(["solve", "--reduction", "9"])
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
+    capsys.readouterr()
+
+
+def test_a_paused_batch_leaves_the_collector_nothing_per_instance(tmp_path, capsys):
+    """What `gc.collect()` finds after a batch run with the collector paused is the same for one
+    pair as for twenty, malformed pairs among them, so a long batch cannot pile up cycles."""
+    chain, chain_labelling = shared_chain(3, 6, closed=True)[:2]
+    kinds = [
+        (emit_apx(chain), emit_labelling(chain_labelling)),
+        (EXAMPLE1_APX, EXAMPLE1_COMPLETE_JSON),
+        (EXAMPLE1_APX, '{"in": ["d"], "out": ["c"], "undec": ["a", "b"]}'),
+        (TWO_ARG_APX, L1_JSON),
+        (TWO_ARG_APX, L2_JSON),
+        (TWO_ARG_APX, L3_JSON),
+        ("arg(a). this is not APX\n", L1_JSON),
+        (TWO_ARG_APX, "{"),
+        (TWO_ARG_APX, '{"in": ["a"]}'),
+    ]
+
+    def left_behind(count: int) -> int:
+        fdir, ldir = tmp_path / f"f{count}", tmp_path / f"l{count}"
+        fdir.mkdir()
+        ldir.mkdir()
+        for i in range(count):
+            apx, lab = kinds[i % len(kinds)]
+            (fdir / f"p{i:02d}.apx").write_text(apx)
+            (ldir / f"p{i:02d}.json").write_text(lab)
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            main(["solve", "--framework", str(fdir), "--labelling", str(ldir), "--reduction", "all"])
+            return gc.collect()
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    assert left_behind(1) == left_behind(20)
+    out = capsys.readouterr().out
+    assert '"instance": "p19"' in out and '"error"' in out

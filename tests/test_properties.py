@@ -39,7 +39,7 @@ from prefarg import (
     verify_witness,
 )
 from prefarg.reductions import REDUCTIONS, _reduced_complete
-from prefarg.solvers import _conditions_1_2
+from prefarg.solvers import _Checks
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -98,7 +98,7 @@ def test_ex4_yes_witnesses_verify_and_no_certificates_hold(instance):
 @hypothesis.given(instances())
 def test_conditions_1_2_match_the_attack_scan(instance):
     fw, lab = instance
-    assert _conditions_1_2(fw, lab) == reference_conditions_1_2(fw, lab)
+    assert _Checks(fw, lab).conditions_1_2 == reference_conditions_1_2(fw, lab)
 
 
 @PROPERTY_SETTINGS
@@ -128,6 +128,7 @@ def test_completeness_violation_names_the_least_violator(instance):
         all_out, some_in = attackers <= lab.out_args, bool(attackers & lab.in_args)
         return {IN: not all_out, OUT: not some_in, UNDEC: all_out or some_in}[lab.label(name)]
 
+    assert sorted(_Checks(fw, lab).violators) == sorted(filter(broken, fw.arguments))
     least = min(filter(broken, fw.arguments), default=None)
     violation = completeness_violation(fw, lab)
     if least is None:

@@ -636,14 +636,13 @@ def test_decide_all_runs_each_check_once_and_keeps_nothing(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(
-        solvers, "completeness_violation", counted("completeness", solvers.completeness_violation)
-    )
+    # The one scan of the labelled arguments' attackers, which every check reads.
+    monkeypatch.setattr(solvers, "_violators", counted("violators", solvers._violators))
     monkeypatch.setattr(solvers, "_conditions_1_2", counted("conditions", solvers._conditions_1_2))
     fw, lab = Framework("ab", [("a", "b")]), Labelling(undec_args="ab")
     decisions = list(decide_all(fw, lab, (4, 3, 2, 1, 3)))
     assert [d.yes for d in decisions] == [False, True, False, False, True]
-    assert calls == {"completeness": 1, "conditions": 1}
+    assert calls == {"violators": 1, "conditions": 1}
     kept = weakref.ref(fw), weakref.ref(lab)
     del fw, lab
     assert [ref() for ref in kept] == [None, None]

@@ -59,3 +59,24 @@ def test_every_import_is_read_unless_the_tracer_patches_it():
         read.update(getattr(importlib.import_module(name), "__all__", ()))
         unread |= {(name, imported) for imported in bound - read}
     assert unread - _tracer_pins() == set()
+
+
+def test_only_the_cli_entry_point_touches_the_garbage_collector():
+    """`cli.main` pauses the process-wide collector for one call; no library function changes it."""
+    imports, uses = [], []
+    for path in sorted(Path(prefarg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_main: set[int] = set()
+        if path.stem == "cli":
+            main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+            in_main = {id(node) for node in ast.walk(main)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = (alias for alias in node.names if alias.name == "gc")
+                imports += [(path.stem, alias.name, alias.asname) for alias in names]
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                imports.append((path.stem, "from gc", None))
+            elif isinstance(node, ast.Name) and node.id == "gc":
+                uses.append((path.stem, id(node) in in_main))
+    assert imports == [("cli", "gc", None)]
+    assert uses and set(uses) == {("cli", True)}

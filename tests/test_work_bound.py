@@ -56,10 +56,10 @@ def _chain(closed):
 # Each shape's builder, its bound on the work per n + m (about 1.2 times the
 # most it reads at any size) and its sizes.
 SHAPES = {
-    "tied-r1": (_tied(1), 11, SIZES),
-    "tied-r3": (_tied(3), 12.5, SIZES),
-    "deep": (_planted(lambda rng, n: generator.deep(rng, "d", n, RATIO)), 10, SIZES),
-    "near-miss": (_planted(_near_miss), 3, SIZES),
+    "tied-r1": (_tied(1), 10, SIZES),
+    "tied-r3": (_tied(3), 11, SIZES),
+    "deep": (_planted(lambda rng, n: generator.deep(rng, "d", n, RATIO)), 9, SIZES),
+    "near-miss": (_planted(_near_miss), 1.7, SIZES),
     "open-chain": (_chain(False), 18, SIZES),
     # At n = 4000 this shape alone takes seconds.
     "closed-chain": (_chain(True), 18, SIZES[:2]),
