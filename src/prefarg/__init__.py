@@ -53,10 +53,6 @@ from .solvers import (
     Decision,
     decide,
     decide_all,
-    decide_ex1,
-    decide_ex2,
-    decide_ex3,
-    decide_ex4,
     is_valid_ranking,
     rank,
     verify_witness,
@@ -85,10 +81,6 @@ __all__ = [
     "consistency_certificate",
     "decide",
     "decide_all",
-    "decide_ex1",
-    "decide_ex2",
-    "decide_ex3",
-    "decide_ex4",
     "emit_apx",
     "emit_dot",
     "emit_labelling",

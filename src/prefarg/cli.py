@@ -6,7 +6,8 @@ yes), 1 for a no (every reduction says no), 2 for input errors, 3 for
 internal errors (a witness that failed verification). Results go to stdout,
 diagnostics to stderr. `labellings`, `oracle` and `gen --labelling-mode
 complete` refuse inputs above the library's enumeration caps with exit 2,
-and `gen` refuses more expected attacks than its budget.
+and `gen` refuses more expected attacks than its budget, a labelling path
+without a labelling mode, and one path for both of its files.
 """
 
 import argparse
@@ -14,7 +15,6 @@ import gc
 import json
 import random
 import sys
-import time
 from pathlib import Path
 
 from .errors import PrefargError
@@ -83,18 +83,9 @@ def _cmd_solve(args) -> int:
         return _run_batch(args)
     framework, labelling = _load_instance(args.framework, args.labelling)
     any_yes = False
-    started = time.perf_counter()
     for decision in _decisions(framework, labelling, args.reduction):
-        elapsed = (time.perf_counter() - started) * 1000.0
-        print(
-            emit_result(
-                decision,
-                fmt=args.format,
-                elapsed_ms=elapsed if args.format == "json" else None,
-            )
-        )
+        print(emit_result(decision, fmt=args.format))
         any_yes = any_yes or decision.yes
-        started = time.perf_counter()
     return EXIT_YES if any_yes else EXIT_NO
 
 
@@ -155,6 +146,11 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.labelling_out and args.labelling_mode is None:
+        raise PrefargError("--labelling-out needs --labelling-mode")
+    fw_out, lab_out = args.framework_out, args.labelling_out
+    if fw_out and lab_out and Path(fw_out).resolve() == Path(lab_out).resolve():
+        raise PrefargError("--framework-out and --labelling-out name the same file")
     if args.args < 0:
         raise PrefargError("--args must be nonnegative")
     if args.args > GEN_ARGS_CAP:

@@ -187,9 +187,9 @@ def emit_dot(
     return "\n".join(lines) + "\n"
 
 
-def result_payload(decision: Decision, elapsed_ms: float | None = None) -> dict:
+def result_payload(decision: Decision) -> dict:
     """The JSON object `emit_result` writes for a decision, before encoding."""
-    payload: dict = {
+    return {
         "verdict": decision.verdict,
         "reduction": decision.reduction,
         "witness": (
@@ -207,19 +207,16 @@ def result_payload(decision: Decision, elapsed_ms: float | None = None) -> dict:
             else None
         ),
     }
-    if elapsed_ms is not None:
-        payload["elapsed_ms"] = round(elapsed_ms, 3)
-    return payload
 
 
-def emit_result(decision: Decision, fmt: str = "json", elapsed_ms: float | None = None) -> str:
+def emit_result(decision: Decision, fmt: str = "json") -> str:
     """Serialise a decision; the JSON form is what `parse_result` reads back.
 
     A no decision without a certificate is the oracle's: no CC-wise order
     made the labelling complete.
     """
     if fmt == "json":
-        return json.dumps(result_payload(decision, elapsed_ms))
+        return json.dumps(result_payload(decision))
     if fmt != "text":
         raise ValueError(f"unknown result format {fmt!r}")
     if decision.yes:

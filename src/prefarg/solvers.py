@@ -1,6 +1,6 @@
 """Polynomial-time deciders for the four inverse problems, with witnesses.
 
-Each decider answers whether some CC-wise total order turns the target
+`decide` answers whether some CC-wise total order turns the target
 labelling into a complete labelling of the reduced framework. A positive
 answer carries a witness order that `verify_witness` accepts; a negative
 answer carries a certificate naming the violated condition and a witnessing
@@ -71,9 +71,9 @@ class _Checks:
     """The rejection checks on one (framework, labelling), each run at most once.
 
     All of them read the completeness violators, listed by one scan of the
-    labelled arguments' attackers. A decider makes its own unless
-    `decide_all` hands it the instance's, so the checks never outlive the
-    call that asked for them.
+    labelled arguments' attackers. `decide_all` makes one per call and hands
+    it to each decider, so the checks never outlive the call that asked for
+    them.
     """
 
     def __init__(self, framework: Framework, labelling: Labelling):
@@ -121,23 +121,17 @@ def _acyclic_undec_blocks(framework: Framework, labelling: Labelling, depth: dic
             yield frozenset(framework._layer((start,), missed, undec))
 
 
-def _trivial_yes(framework: Framework, reduction: int) -> Decision:
-    return Decision(True, reduction, witness=PreferenceOrder.all_equivalent(framework))
-
-
-def decide_ex1(framework: Framework, labelling: Labelling, *, checks=None) -> Decision:
-    """Inverse problem under reduction 1 (attack reflection).
+def _ex1(checks: _Checks) -> Decision:
+    """Reduction 1 (attack reflection), on a labelling that is not complete.
 
     Positive exactly when no attack touches two in/undec arguments other
     than undec-undec pairs, every out argument has an in neighbour, and
     every component of the undec part of the attack graph contains a cycle.
     """
-    checks = checks or _Checks(framework, labelling)
-    if checks.violation is None:
-        return _trivial_yes(framework, 1)
     failed = checks.conditions_1_2
     if failed is not None:
         return Decision(False, 1, certificate=failed)
+    framework, labelling = checks.framework, checks.labelling
     depth: dict[str, int] = {}
     block = next(_acyclic_undec_blocks(framework, labelling, depth), None)
     if block is not None:
@@ -146,26 +140,21 @@ def decide_ex1(framework: Framework, labelling: Labelling, *, checks=None) -> De
     return Decision(True, 1, witness=_witness(framework, labelling, depth))
 
 
-def decide_ex2(framework: Framework, labelling: Labelling, *, checks=None) -> Decision:
-    """Inverse problem under reduction 2: positive iff already complete."""
-    violation = (checks or _Checks(framework, labelling)).violation
-    if violation is None:
-        return _trivial_yes(framework, 2)
-    return Decision(False, 2, certificate=violation)
+def _ex2(checks: _Checks) -> Decision:
+    """Reduction 2 keeps a labelling complete only if it already is."""
+    return Decision(False, 2, certificate=checks.violation)
 
 
-def decide_ex3(framework: Framework, labelling: Labelling, *, checks=None) -> Decision:
-    """Inverse problem under reduction 3 (reflection plus weak removal).
+def _ex3(checks: _Checks) -> Decision:
+    """Reduction 3 (reflection plus weak removal), on a labelling that is not complete.
 
     Conditions 1 and 2 are as for reduction 1; condition 3 relaxes to
     requiring an undec neighbour for every undec argument.
     """
-    checks = checks or _Checks(framework, labelling)
-    if checks.violation is None:
-        return _trivial_yes(framework, 3)
     failed = checks.conditions_1_2
     if failed is not None:
         return Decision(False, 3, certificate=failed)
+    framework, labelling = checks.framework, checks.labelling
     depth: dict[str, int] = {}
     for block in _acyclic_undec_blocks(framework, labelling, depth):
         # Without a cycle, layer from the target d of the least attack (s, d):
@@ -289,17 +278,15 @@ def is_valid_ranking(framework: Framework, labelling: Labelling, psi) -> bool:
     return True
 
 
-def decide_ex4(framework: Framework, labelling: Labelling, *, checks=None) -> Decision:
-    """Inverse problem under reduction 4 (attack removal).
+def _ex4(checks: _Checks) -> Decision:
+    """Reduction 4 (attack removal), on a labelling that is not complete.
 
     Out arguments must keep an in-labelled attacker since removal never adds
     attacks; the rest reduces to finding a ranking of the in/undec part, and
     a ranking yields the witness by dropping every attack that runs strictly
     downhill.
     """
-    checks = checks or _Checks(framework, labelling)
-    if checks.violation is None:
-        return _trivial_yes(framework, 4)
+    framework, labelling = checks.framework, checks.labelling
     # An out argument without an in attacker is an out violator.
     name = min((a for a in checks.violators if a in labelling.out_args), default=None)
     if name is not None:
@@ -311,7 +298,8 @@ def decide_ex4(framework: Framework, labelling: Labelling, *, checks=None) -> De
     return Decision(True, 4, witness=_witness(framework, labelling, psi))
 
 
-DECIDERS = {1: decide_ex1, 2: decide_ex2, 3: decide_ex3, 4: decide_ex4}
+# Each reduction's decider, called only on a labelling that is not already complete.
+DECIDERS = {1: _ex1, 2: _ex2, 3: _ex3, 4: _ex4}
 
 
 def decide(framework: Framework, labelling: Labelling, reduction: int) -> Decision:
@@ -323,14 +311,18 @@ def decide_all(
 ) -> Iterator[Decision]:
     """Yield `decide(framework, labelling, r)` for each reduction r in turn.
 
-    The scan for completeness violators runs at most once, under the first
-    reduction, and every check reads its list; all are dropped with the
-    generator.
+    An already complete labelling gets the order of equals, under which every
+    reduction keeps every attack. The scan for completeness violators runs at
+    most once, under the first reduction, and every check reads its list; all
+    are dropped with the generator.
     """
     checks = _Checks(framework, labelling)
     for reduction in reductions:
         _check_index(reduction)
-        yield DECIDERS[reduction](framework, labelling, checks=checks)
+        if checks.violation is None:
+            yield Decision(True, reduction, witness=PreferenceOrder.all_equivalent(framework))
+        else:
+            yield DECIDERS[reduction](checks)
 
 
 def verify_witness(

@@ -47,7 +47,7 @@ def test_decide_complete_instance_exits_zero(example1_files, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "yes"
-    assert "elapsed_ms" in payload
+    assert "elapsed_ms" not in payload
 
 
 def test_decide_negative_instance_exits_one(tmp_path, two_arg_file, capsys):
@@ -119,7 +119,7 @@ def test_solve_refuses_an_unverified_witness(tmp_path, two_arg_file, capsys, mon
     from prefarg import Decision, PreferenceOrder
     from prefarg.solvers import DECIDERS
 
-    def broken_decider(framework, labelling, **shared):
+    def broken_decider(checks):
         return Decision(True, 1, witness=PreferenceOrder([("a", "b")]))
 
     monkeypatch.setitem(DECIDERS, 1, broken_decider)
@@ -332,6 +332,31 @@ def test_gen_complete_mode_above_the_cap_exits_two_and_writes_nothing(tmp_path, 
     assert not fw.exists() and not lab.exists()
 
 
+def test_gen_refuses_a_labelling_path_without_a_labelling_mode(tmp_path, capsys):
+    lab = tmp_path / "g.json"
+    code = main(["gen", "--args", "3", "--attack-prob", "0.5", "--seed", "1", "--labelling-out", str(lab)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --labelling-out needs --labelling-mode\n"
+    assert not lab.exists()
+
+
+def test_gen_refuses_one_path_for_both_files(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(
+        [
+            "gen", "--args", "3", "--attack-prob", "0.5", "--seed", "1", "--labelling-mode", "random",
+            "--framework-out", "g.out", "--labelling-out", str(tmp_path / "g.out"),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --framework-out and --labelling-out name the same file\n"
+    assert not (tmp_path / "g.out").exists()
+
+
 @pytest.mark.parametrize(
     "count, prob, message",
     [("3", "1.5", "--attack-prob must lie in [0, 1]"), ("-1", "0.5", "--args must be nonnegative")],
@@ -424,11 +449,22 @@ def test_batch_lines_are_the_single_file_lines_led_by_the_instance(tmp_path, cap
         argv = ["--framework", str(fdir / f"{stem}.apx"), "--labelling", str(ldir / f"{stem}.json")]
         main(["solve", *argv, "--reduction", "all"])
         for line in capsys.readouterr().out.splitlines():
-            fields = json.loads(line)
-            del fields["elapsed_ms"]
-            expected.append(json.dumps({"instance": stem, **fields}))
+            expected.append(json.dumps({"instance": stem, **json.loads(line)}))
     main(["solve", "--framework", str(fdir), "--labelling", str(ldir), "--reduction", "all"])
     assert capsys.readouterr().out.splitlines() == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_solve_prints_the_same_bytes_on_every_run(tmp_path, capsys, fmt):
+    fw = write(tmp_path, "example1.apx", EXAMPLE1_APX)
+    lab = write(tmp_path, "l.json", '{"in": ["d"], "out": ["c"], "undec": ["a", "b"]}')
+    argv = ["solve", "--framework", str(fw), "--labelling", str(lab), "--reduction", "all", "--format", fmt]
+    runs = []
+    for _ in range(2):
+        code = main(argv)
+        runs.append((code, capsys.readouterr().out.encode()))
+    assert runs[0] == runs[1]
+    assert runs[0][1].count(b"\n") == 4
 
 
 DEEP_JSON = "[" * 200_000
@@ -547,13 +583,6 @@ def test_reduce_non_utf8_order_exits_two(tmp_path, example1_files, capsys):
 BOM = "\ufeff"
 
 
-def without_timing(out: str) -> list[dict]:
-    rows = [json.loads(line) for line in out.strip().splitlines()]
-    for row in rows:
-        row.pop("elapsed_ms", None)
-    return rows
-
-
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_solve_reads_files_with_a_byte_order_mark_and_crlf_line_breaks(tmp_path, capsys, fmt):
     runs = []
@@ -564,7 +593,7 @@ def test_solve_reads_files_with_a_byte_order_mark_and_crlf_line_breaks(tmp_path,
         argv = ["--framework", str(fw), "--labelling", str(lab), "--reduction", "all", "--format", fmt]
         code = main(["solve", *argv])
         out = capsys.readouterr().out
-        runs.append((code, without_timing(out) if fmt == "json" else out))
+        runs.append((code, out))
     assert runs[0] == runs[1]
     assert runs[0][0] == 0
 
@@ -579,7 +608,7 @@ def test_batch_mode_reads_files_with_a_byte_order_mark(tmp_path, capsys):
             (fdir / f"{stem}.apx").write_text(prefix + TWO_ARG_APX, encoding="utf-8")
             (ldir / f"{stem}.json").write_text(prefix + labelling, encoding="utf-8")
         code = main(["solve", "--framework", str(fdir), "--labelling", str(ldir), "--reduction", "all"])
-        runs.append((code, without_timing(capsys.readouterr().out)))
+        runs.append((code, capsys.readouterr().out.splitlines()))
     assert runs[0] == runs[1]
     assert runs[0][0] == 0
     assert len(runs[0][1]) == 8
@@ -621,9 +650,7 @@ def test_module_entry_point_decides(tmp_path, two_arg_file):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout)
-    del result["elapsed_ms"]
-    assert result == {"verdict": "yes", "reduction": 1, "witness": [["a"], ["b"]], "certificate": None}
+    assert json.loads(done.stdout) == {"verdict": "yes", "reduction": 1, "witness": [["a"], ["b"]], "certificate": None}
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

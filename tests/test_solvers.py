@@ -15,6 +15,7 @@ from conftest import (
     shared_chain,
 )
 from prefarg import (
+    Decision,
     DomainMismatchError,
     Framework,
     Labelling,
@@ -23,10 +24,6 @@ from prefarg import (
     completeness_violation,
     decide,
     decide_all,
-    decide_ex1,
-    decide_ex2,
-    decide_ex3,
-    decide_ex4,
     is_complete,
     is_valid_ranking,
     rank,
@@ -44,7 +41,7 @@ L3 = Labelling(in_args="b", undec_args="a")
 
 
 def test_ex1_out_in_pair_is_positive(two_arg):
-    decision = decide_ex1(two_arg, L2)
+    decision = decide(two_arg, L2, 1)
     assert decision.yes
     assert decision.witness.classes == (frozenset("a"), frozenset("b"))
     assert verify_witness(two_arg, L2, 1, decision.witness)
@@ -52,14 +49,14 @@ def test_ex1_out_in_pair_is_positive(two_arg):
 
 def test_ex1_complete_labelling_yields_trivial_witness(example1):
     labelling = Labelling(in_args="ad", out_args="bc")
-    decision = decide_ex1(example1, labelling)
+    decision = decide(example1, labelling, 1)
     assert decision.yes
     assert decision.witness == PreferenceOrder.all_equivalent(example1)
     assert verify_witness(example1, labelling, 1, decision.witness)
 
 
 def test_ex1_undec_attacking_in_fails_condition_one(two_arg):
-    decision = decide_ex1(two_arg, L3)
+    decision = decide(two_arg, L3, 1)
     assert not decision.yes
     assert decision.certificate.condition == 1
     assert decision.certificate.witness == ("a", "b")
@@ -67,14 +64,14 @@ def test_ex1_undec_attacking_in_fails_condition_one(two_arg):
 
 def test_ex1_out_without_in_neighbour_fails_condition_two():
     fw = Framework("ab", [("a", "b")])
-    decision = decide_ex1(fw, Labelling(out_args="a", undec_args="b"))
+    decision = decide(fw, Labelling(out_args="a", undec_args="b"), 1)
     assert not decision.yes
     assert decision.certificate.condition == 2
     assert decision.certificate.witness == ("a",)
 
 
 def test_ex1_acyclic_undec_component_fails_condition_three(two_arg):
-    decision = decide_ex1(two_arg, L1)
+    decision = decide(two_arg, L1, 1)
     assert not decision.yes
     assert decision.certificate.condition == 3
 
@@ -83,19 +80,19 @@ def test_ex1_acyclic_undec_component_fails_condition_three(two_arg):
 
 
 def test_ex2_complete_labelling(example1):
-    decision = decide_ex2(example1, Labelling(in_args="ad", out_args="bc"))
+    decision = decide(example1, Labelling(in_args="ad", out_args="bc"), 2)
     assert decision.yes
     assert decision.witness == PreferenceOrder.all_equivalent(example1)
 
 
 def test_ex2_incomplete_labelling(two_arg):
-    decision = decide_ex2(two_arg, L1)
+    decision = decide(two_arg, L1, 2)
     assert not decision.yes
     assert decision.certificate is not None
 
 
 def test_ex2_empty_framework():
-    assert decide_ex2(Framework(), Labelling()).yes
+    assert decide(Framework(), Labelling(), 2).yes
 
 
 def test_ex2_matches_is_complete_on_random_instances():
@@ -103,28 +100,28 @@ def test_ex2_matches_is_complete_on_random_instances():
     for _ in range(80):
         fw = random_framework(rng, rng.randrange(0, 6), rng.random())
         lab = random_labelling(rng, fw)
-        assert decide_ex2(fw, lab).yes == is_complete(fw, lab)
+        assert decide(fw, lab, 2).yes == is_complete(fw, lab)
 
 
 # --- reduction 3 -----------------------------------------------------------
 
 
 def test_ex3_mutualises_a_one_way_undec_pair(two_arg):
-    decision = decide_ex3(two_arg, L1)
+    decision = decide(two_arg, L1, 3)
     assert decision.yes
     assert decision.witness.classes == (frozenset("a"), frozenset("b"))
     assert verify_witness(two_arg, L1, 3, decision.witness)
 
 
 def test_ex3_isolated_undec_argument_is_negative():
-    decision = decide_ex3(Framework("a"), Labelling(undec_args="a"))
+    decision = decide(Framework("a"), Labelling(undec_args="a"), 3)
     assert not decision.yes
     assert decision.certificate.condition == 3
     assert decision.certificate.witness == ("a",)
 
 
 def test_ex3_accepts_whatever_ex1_accepts(two_arg):
-    decision = decide_ex3(two_arg, L2)
+    decision = decide(two_arg, L2, 3)
     assert decision.yes
     assert verify_witness(two_arg, L2, 3, decision.witness)
 
@@ -176,10 +173,10 @@ def test_acyclic_undec_blocks_need_weak_removal(shape):
     fw = Framework("abcd", attacks)
     lab = Labelling(undec_args="abcd")
     assert not is_complete(fw, lab)
-    decision = decide_ex3(fw, lab)
+    decision = decide(fw, lab, 3)
     assert decision.yes
     assert verify_witness(fw, lab, 3, decision.witness)
-    refused = decide_ex1(fw, lab)
+    refused = decide(fw, lab, 1)
     assert not refused.yes
     assert refused.certificate.condition == 3
     assert refused.certificate.witness == ("a", "b", "c", "d")
@@ -247,11 +244,11 @@ def test_undec_blocks_joined_only_through_an_out_argument_stay_apart():
     fw = Framework({name for att in attacks for name in att}, attacks)
     lab = Labelling(in_args="i", out_args="o", undec_args={"u1", "u2", "p1", "p2"})
     assert not is_complete(fw, lab)
-    refused = decide_ex1(fw, lab)
+    refused = decide(fw, lab, 1)
     assert not refused.yes
     assert refused.certificate.condition == 3
     assert refused.certificate.witness == ("p1", "p2")
-    decision = decide_ex3(fw, lab)
+    decision = decide(fw, lab, 3)
     assert decision.yes
     assert verify_witness(fw, lab, 3, decision.witness)
 
@@ -412,7 +409,7 @@ def test_ex4_agrees_with_the_sweeps_and_its_certificates_hold():
     details = collections.Counter()
     for _ in range(2000):
         fw, lab = _random_instance(rng, ("in", "out", "undec"))
-        decision = decide_ex4(fw, lab)
+        decision = decide(fw, lab, 4)
         core = fw.restrict(lab.in_args | lab.undec_args)
         expected = is_complete(fw, lab) or (
             all(fw.attackers(o) & lab.in_args for o in lab.out_args)
@@ -434,10 +431,10 @@ def test_deciders_hand_on_the_certificates_of_their_checks():
     for _ in range(500):
         fw, lab = _random_instance(rng, ("in", "undec"))
         violation = completeness_violation(fw, lab)
-        assert decide_ex2(fw, lab).certificate == violation
+        assert decide(fw, lab, 2).certificate == violation
         if violation is not None:
             failure = _rank_detail(fw, lab.in_args, lab.undec_args)[1]
-            assert decide_ex4(fw, lab).certificate == failure
+            assert decide(fw, lab, 4).certificate == failure
             ranking_failures += failure is not None
     assert ranking_failures > 100
 
@@ -448,7 +445,7 @@ def test_ex4_settles_a_long_all_in_chain():
     names = [f"c{i:05d}" for i in range(n)]
     fw = Framework(names, zip(names, names[1:]))
     lab = Labelling(in_args=names)
-    assert decide_ex4(fw, lab).yes
+    assert decide(fw, lab, 4).yes
     assert rank(fw, lab) == {name: n - 1 - i for i, name in enumerate(names)}
 
 
@@ -463,7 +460,7 @@ def test_rank_settles_an_undec_cycle_that_becomes_eligible_late():
     psi = rank(fw, lab)
     assert [psi[u] for u in cycle] == [depth] * length
     assert psi[chain[0]] == depth - 1
-    assert decide_ex4(fw, lab).yes
+    assert decide(fw, lab, 4).yes
 
 
 def test_rank_settles_eligible_arguments_that_wait_on_a_shared_chain():
@@ -472,7 +469,7 @@ def test_rank_settles_eligible_arguments_that_wait_on_a_shared_chain():
     psi = rank(fw, lab)
     assert {psi[u] for u in undec} == {k}
     assert [psi[c] for c in chain] == list(range(k, -1, -1))
-    assert decide_ex4(fw, lab).yes
+    assert decide(fw, lab, 4).yes
 
 
 def test_rank_peels_a_shared_chain_once_not_once_per_level(monkeypatch):
@@ -494,20 +491,20 @@ def test_rank_peels_a_shared_chain_once_not_once_per_level(monkeypatch):
 
 
 def test_ex4_undec_in_pair_is_negative(two_arg):
-    decision = decide_ex4(two_arg, L3)
+    decision = decide(two_arg, L3, 4)
     assert not decision.yes
     assert decision.certificate.condition == 2
 
 
 def test_ex4_out_without_in_attacker_is_negative(two_arg):
-    decision = decide_ex4(two_arg, L2)
+    decision = decide(two_arg, L2, 4)
     assert not decision.yes
     assert decision.certificate.condition == 1
     assert decision.certificate.witness == ("a",)
 
 
 def test_ex4_rank_figure_instance(rank_figure, rank_figure_labelling):
-    decision = decide_ex4(rank_figure, rank_figure_labelling)
+    decision = decide(rank_figure, rank_figure_labelling, 4)
     assert decision.yes
     assert verify_witness(rank_figure, rank_figure_labelling, 4, decision.witness)
 
@@ -515,7 +512,7 @@ def test_ex4_rank_figure_instance(rank_figure, rank_figure_labelling):
 def test_ex4_removes_an_attack_between_in_arguments():
     fw = Framework("ab", [("a", "b")])
     labelling = Labelling(in_args="ab")
-    decision = decide_ex4(fw, labelling)
+    decision = decide(fw, labelling, 4)
     assert decision.yes
     assert verify_witness(fw, labelling, 4, decision.witness)
 
@@ -545,7 +542,7 @@ def test_ex4_out_arguments_between_in_arguments(shape):
     fw = Framework(in_args + undec_args + out_args, attacks)
     lab = Labelling(in_args=in_args, undec_args=undec_args, out_args=out_args)
     assert not is_complete(fw, lab)
-    decision = decide_ex4(fw, lab)
+    decision = decide(fw, lab, 4)
     assert decision.yes
     assert verify_witness(fw, lab, 4, decision.witness)
     assert brute_force_ex(fw, lab, 4)[0]
@@ -648,6 +645,39 @@ def test_decide_all_runs_each_check_once_and_keeps_nothing(monkeypatch):
     assert [ref() for ref in kept] == [None, None]
 
 
+@pytest.fixture
+def recorded(monkeypatch):
+    """Each entry of `solvers.DECIDERS` replaced by a stub that records its reduction and checks."""
+    seen = []
+
+    def stub(reduction):
+        def decider(checks):
+            seen.append((reduction, checks))
+            return Decision(False, reduction)
+
+        return decider
+
+    for reduction in solvers.DECIDERS:
+        monkeypatch.setitem(solvers.DECIDERS, reduction, stub(reduction))
+    return seen
+
+
+def test_decide_all_answers_a_complete_labelling_without_a_decider(example1, recorded):
+    decisions = list(decide_all(example1, Labelling(in_args="ad", out_args="bc"), (1, 2, 3, 4)))
+    assert recorded == []
+    equals = PreferenceOrder.all_equivalent(example1)
+    assert decisions == [Decision(True, r, witness=equals) for r in (1, 2, 3, 4)]
+
+
+def test_decide_all_hands_each_asked_decider_the_instance_checks_once(two_arg, recorded):
+    decisions = list(decide_all(two_arg, L1, (4, 2, 3)))
+    assert decisions == [Decision(False, r) for r in (4, 2, 3)]
+    assert [reduction for reduction, _ in recorded] == [4, 2, 3]
+    checks = recorded[0][1]
+    assert all(seen is checks for _, seen in recorded)
+    assert (checks.framework, checks.labelling) == (two_arg, L1)
+
+
 def test_deciders_reject_partial_labellings(example1):
     with pytest.raises(DomainMismatchError):
-        decide_ex1(example1, Labelling(in_args="a"))
+        decide(example1, Labelling(in_args="a"), 1)

@@ -58,6 +58,8 @@ def _chain(closed):
 SHAPES = {
     "tied-r1": (_tied(1), 10, SIZES),
     "tied-r3": (_tied(3), 11, SIZES),
+    # Complete as planted: every reduction answers yes, and each witness is verified.
+    "tied-r2": (_tied(2), 13, SIZES),
     "deep": (_planted(lambda rng, n: generator.deep(rng, "d", n, RATIO)), 9, SIZES),
     "near-miss": (_planted(_near_miss), 1.7, SIZES),
     "open-chain": (_chain(False), 18, SIZES),
