@@ -21,14 +21,13 @@ from .io_formats import (
     emit_apx,
     emit_dot,
     emit_labelling,
-    emit_order,
     emit_result,
     parse_apx,
     parse_labelling,
     parse_order,
     parse_result,
 )
-from .oracle import brute_force_ex, enumerate_orders, weak_orders
+from .oracle import brute_force_ex
 from .preferences import (
     PreferenceFunction,
     PreferenceOrder,
@@ -49,14 +48,7 @@ from .semantics import (
     is_complete,
     require_total,
 )
-from .solvers import (
-    Decision,
-    decide,
-    decide_all,
-    is_valid_ranking,
-    rank,
-    verify_witness,
-)
+from .solvers import Decision, decide, decide_all, verify_witness
 
 __all__ = [
     "Attack",
@@ -84,23 +76,18 @@ __all__ = [
     "emit_apx",
     "emit_dot",
     "emit_labelling",
-    "emit_order",
     "emit_result",
     "enumerate_complete",
-    "enumerate_orders",
     "graph_from_pref_fn",
     "is_complete",
-    "is_valid_ranking",
     "order_to_pref_fn",
     "parse_apx",
     "parse_labelling",
     "parse_order",
     "parse_result",
     "pref_fn_to_order",
-    "rank",
     "reduce",
     "require_total",
     "validate_order",
     "verify_witness",
-    "weak_orders",
 ]

@@ -71,8 +71,7 @@ class Framework(_Value):
 
     The relation is stored once, as each argument's attacker set. The attack
     pairs and each argument's targets are built from it on first read.
-    Nothing changes a table afterwards; the public getters hand out frozen
-    copies.
+    Nothing changes a table afterwards.
     """
 
     arguments: frozenset[str]
@@ -118,16 +117,6 @@ class Framework(_Value):
     def _require(self, name: str) -> None:
         if name not in self.arguments:
             raise UnknownArgumentError(f"unknown argument: {name!r}")
-
-    def attackers(self, name: str) -> frozenset[str]:
-        """All direct attackers of the given argument."""
-        self._require(name)
-        return frozenset(self._attackers[name])
-
-    def targets(self, name: str) -> frozenset[str]:
-        """All arguments the given argument attacks."""
-        self._require(name)
-        return frozenset(self._targets[name])
 
     def _layer(self, seeds: Iterable[str], depth: dict, within: AbstractSet[str]) -> list[str]:
         """Undirected BFS from the seeds inside `within`; returns what it reached, in order.

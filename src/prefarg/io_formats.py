@@ -6,12 +6,12 @@ parse and emit are mutually inverse on those canonical forms.
 
 import json
 import re
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable
 
 from .errors import InvalidOrderError, ParseError, least_names
 from .framework import NAME_CHARS, NAME_PATTERN, Attack, Framework, _attacker_table
-from .preferences import PreferenceOrder, validate_order
+from .preferences import PreferenceOrder
 from .reductions import REDUCTIONS
 from .semantics import IN, OUT, UNDEC, Certificate, Labelling
 from .solvers import Decision
@@ -19,9 +19,9 @@ from .solvers import Decision
 # A fact sits on one line; `[^\S\n]` is any whitespace but the line break.
 _S = r"[^\S\n]*"
 _NAME = f"({NAME_CHARS}+)"
-_ARG = re.compile(rf"arg\({_S}{_NAME}{_S}\){_S}\.")
-_ATT = re.compile(rf"att\({_S}{_NAME}{_S},{_S}{_NAME}{_S}\){_S}\.")
-_FACT = re.compile(f"{_ARG.pattern}|{_ATT.pattern}")
+_ARG = rf"arg\({_S}{_NAME}{_S}\){_S}\."
+_ATT = rf"att\({_S}{_NAME}{_S},{_S}{_NAME}{_S}\){_S}\."
+_FACT = re.compile(f"{_ARG}|{_ATT}")
 _COMMENT = re.compile(r"%[^\n]*")
 # The ASCII line breaks of `str.splitlines` besides "\n". Its other breaks are not
 # ASCII, so an ASCII text without these needs no rewriting of its breaks.
@@ -39,13 +39,14 @@ def parse_apx(text: str) -> Framework:
         text = "\n".join(text.splitlines())  # every break a "\n", which facts and comments end at
     if "%" in text:
         text = _COMMENT.sub("", text)
-    names, pairs = _ARG.findall(text), _ATT.findall(text)
-    # Facts never overlap, so the text holds nothing else exactly when its
-    # non-blank characters are theirs: 6 + name for `arg`, 7 + both names for `att`.
-    names_len = len("".join(names)) + len("".join(chain.from_iterable(pairs)))
-    if len("".join(text.split())) != 6 * len(names) + 7 * len(pairs) + names_len:
+    # Each fact leaves its three groups, None where the other kind of fact
+    # matched, between the pieces of text around the facts.
+    parts = _FACT.split(text)
+    if "".join(parts[::4]).strip():
         raise _content_error(text)
-    args = frozenset(names)
+    args = frozenset(filter(None, parts[1::4]))
+    pairs = list(zip(filter(None, parts[2::4]), filter(None, parts[3::4])))
+    del parts  # four slots a fact, freed before the table build sets the peak memory
     return Framework._derived(args, _attacker_table(args, pairs))
 
 
@@ -138,17 +139,6 @@ def parse_order(text: str) -> PreferenceOrder:
         return PreferenceOrder(classes)
     except InvalidOrderError as exc:
         raise ParseError(str(exc)) from None
-
-
-def emit_order(order: PreferenceOrder, framework: Framework) -> str:
-    """One line per connected component, least-preferred class first."""
-    if not validate_order(framework, order):
-        raise InvalidOrderError("order is not a CC-wise total order on the framework")
-    chains: list[list[str]] = [[] for _ in framework.connected_components()]
-    for cls in order.classes:
-        chains[framework._component_of[next(iter(cls))]].append(" = ".join(sorted(cls)))
-    lines = [" < ".join(chain) for chain in chains]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 _DOT_COLOURS = {IN: "green", OUT: "red", UNDEC: "gray"}

@@ -68,20 +68,15 @@ def _ordered_bell_numbers(n: int) -> list[int]:
     return counts
 
 
-def enumerate_orders(framework: Framework) -> Iterator[PreferenceOrder]:
-    """Every CC-wise total order, as independent weak orders per component."""
-    for combo in itertools.product(*_weak_order_pools(framework)):
-        yield PreferenceOrder(tuple(itertools.chain.from_iterable(combo)))
-
-
 def brute_force_ex(
     framework: Framework, labelling: Labelling, reduction: int
 ) -> tuple[bool, PreferenceOrder | None]:
     """Search every order; return the first one making the labelling complete.
 
-    Orders are tried in `enumerate_orders` order. Each one is checked as a
-    rank map merged from per-component level maps, and only the first that
-    passes is built, by `order_by_depth`, as a `PreferenceOrder`.
+    Orders are tried as the product of the components' weak orders, the last
+    component varying fastest. Each one is checked as a rank map merged from
+    per-component level maps, and only the first that passes is built, by
+    `order_by_depth`, as a `PreferenceOrder`.
     """
     require_total(framework, labelling)
     levels = [

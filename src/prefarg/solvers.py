@@ -10,7 +10,7 @@ argument or attack.
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import DomainMismatchError, InvalidOrderError
+from .errors import InvalidOrderError
 from .framework import Framework, _strongly_connected
 from .preferences import PreferenceOrder, order_by_depth
 # benchmarks/tracing.py patches `validate_order` under this name.
@@ -171,11 +171,13 @@ def _ex3(checks: _Checks) -> Decision:
 def _rank_detail(framework: Framework, in_args: frozenset[str], undec: frozenset[str]):
     """The least ranking of the in and undec arguments, or the reason none exists.
 
-    Every other argument of the framework is skipped. Returns (psi, None)
-    on success and (None, certificate) on failure. The certificate, for
-    condition 2 of reduction 4, names the least undec argument without an
-    undec attacker or, when there is none, the least argument with no finite
-    value.
+    A ranking values them so that every attack among them that touches an
+    in argument runs strictly down, and no undec argument sits below all its
+    undec attackers. Every other argument of the framework is skipped.
+    Returns (psi, None) on success and (None, certificate) on failure. The
+    certificate, for condition 2 of reduction 4, names the least undec
+    argument without an undec attacker or, when there is none, the least
+    argument with no finite value.
 
     Values settle in increasing order, one level at a time (Knuth, *A
     generalization of Dijkstra's algorithm*, 1977). An in argument settles
@@ -242,40 +244,6 @@ def _rank_detail(framework: Framework, in_args: frozenset[str], undec: frozenset
         detail = "rank value exceeded the argument count"
         return None, Certificate(2, (min(a for a in waiting if a not in psi),), detail)
     return psi, None
-
-
-def rank(framework: Framework, labelling: Labelling) -> dict[str, int] | None:
-    """Ranking of the arguments compatible with the labelling, or None.
-
-    A ranking gives every attack touching an in argument a strictly larger
-    value at the source, and every undec argument a value at least the
-    minimum over its undec attackers. Requires a labelling without out
-    arguments; values never exceed the argument count.
-    """
-    require_total(framework, labelling)
-    if labelling.out_args:
-        raise DomainMismatchError("ranking requires a labelling without out arguments")
-    return _rank_detail(framework, labelling.in_args, labelling.undec_args)[0]
-
-
-def is_valid_ranking(framework: Framework, labelling: Labelling, psi) -> bool:
-    """Check the two ranking conditions for an out-free labelling."""
-    require_total(framework, labelling)
-    if labelling.out_args:
-        raise DomainMismatchError("ranking validation requires an out-free labelling")
-    if not framework.arguments <= set(psi):
-        return False
-    in_args, undec = labelling.in_args, labelling.undec_args
-    for src, dst in framework.attacks:
-        if (src in in_args or dst in in_args) and not psi[src] > psi[dst]:
-            return False
-    for name in undec:
-        attackers = framework._attackers[name] & undec
-        if not attackers:
-            return False
-        if psi[name] < min(psi[v] for v in attackers):
-            return False
-    return True
 
 
 def _ex4(checks: _Checks) -> Decision:

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -96,8 +97,6 @@ def random_order(rng: random.Random, framework: Framework) -> PreferenceOrder:
 
 def all_labellings(framework: Framework):
     """Every total labelling of a small framework."""
-    import itertools
-
     names = sorted(framework.arguments)
     for combo in itertools.product((IN, OUT, UNDEC), repeat=len(names)):
         yield Labelling.from_map(dict(zip(names, combo)))
@@ -174,6 +173,48 @@ def reference_reduce(framework: Framework, order: PreferenceOrder, index: int) -
     return Framework(names, [(a, b) for a in names for b in names if member(a, b)])
 
 
+def enumerate_orders(framework: Framework):
+    """Every CC-wise total order, in the order the oracle tries them.
+
+    The product of each component's weak orders, components in
+    `connected_components()` order and the last one varying fastest, each
+    combination chained into one order.
+    """
+    from prefarg.oracle import _weak_order_pools
+
+    for combo in itertools.product(*_weak_order_pools(framework)):
+        yield PreferenceOrder(tuple(itertools.chain.from_iterable(combo)))
+
+
+def write_order(order: PreferenceOrder, framework: Framework) -> str:
+    """The order file `parse_order` reads: one line per component, least-preferred class first."""
+    lines = (
+        " < ".join(" = ".join(sorted(cls)) for cls in order.classes if cls <= component)
+        for component in framework.connected_components()
+    )
+    return "".join(f"{line}\n" for line in lines)
+
+
+def is_valid_ranking(framework: Framework, labelling: Labelling, psi) -> bool:
+    """The two ranking conditions of an out-free labelling, checked off the attack set.
+
+    Every attack with an in endpoint runs strictly down, and every undec
+    argument has an undec attacker and a value at least the least of theirs.
+    """
+    assert not labelling.out_args
+    if not framework.arguments <= set(psi):
+        return False
+    in_args, undec = labelling.in_args, labelling.undec_args
+    for src, dst in framework.attacks:
+        if (src in in_args or dst in in_args) and not psi[src] > psi[dst]:
+            return False
+    for name in undec:
+        attackers = [s for s, t in framework.attacks if t == name and s in undec]
+        if not attackers or psi[name] < min(psi[v] for v in attackers):
+            return False
+    return True
+
+
 def reference_brute_force_ex(framework: Framework, labelling: Labelling, reduction: int):
     """The exhaustive oracle written plainly: build, reduce and check every enumerated order.
 
@@ -181,7 +222,7 @@ def reference_brute_force_ex(framework: Framework, labelling: Labelling, reducti
     framework makes the labelling complete, as `(True, order)`, or
     `(False, None)`.
     """
-    from prefarg import enumerate_orders, is_complete, reduce, require_total
+    from prefarg import is_complete, reduce, require_total
 
     require_total(framework, labelling)
     for order in enumerate_orders(framework):
@@ -195,10 +236,10 @@ def assert_indexed_like_a_checked_build(graph: Framework) -> None:
     fresh = Framework(graph.arguments, graph.attacks)
     assert graph == fresh
     for name in graph.arguments:
-        assert graph.attackers(name) == {s for s, t in graph.attacks if t == name}
-        assert graph.targets(name) == {t for s, t in graph.attacks if s == name}
-        assert graph.attackers(name) == fresh.attackers(name)
-        assert graph.targets(name) == fresh.targets(name)
+        assert graph._attackers[name] == {s for s, t in graph.attacks if t == name}
+        assert graph._targets[name] == {t for s, t in graph.attacks if s == name}
+        assert graph._attackers[name] == fresh._attackers[name]
+        assert graph._targets[name] == fresh._targets[name]
     assert graph.connected_components() == fresh.connected_components()
 
 
@@ -349,10 +390,12 @@ def shared_chain(k: int, length: int, closed: bool = False):
 
     k_i attacks the in argument c_i, so it becomes eligible at level K - i + 1;
     k_{i+1} attacks k_i, k_1 attacks z and z attacks k_K, so the cycle closes
-    only at level K, when every undec argument settles. `closed` adds an
-    attack from the chain's last pending argument to k_1, which puts the
-    pending chain inside the cycle's strongly connected component. Returns
-    the framework, the labelling, the in chain and the undec arguments.
+    only at level K, when every undec argument settles: reduction 4 answers
+    yes, and reductions 1-3 no, since each in-chain attack joins two in
+    arguments. `closed` adds an attack from the chain's last pending argument
+    to k_1, which puts the pending chain inside the cycle's strongly
+    connected component. Returns the framework, the labelling, the in chain
+    and the undec arguments.
     """
     chain = [f"c{i:03d}" for i in range(k + 1)]
     waiting = {i: f"k{i:03d}" for i in range(1, k + 1)}

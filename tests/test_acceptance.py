@@ -11,7 +11,15 @@ import time
 
 import pytest
 
-from conftest import EXAMPLE1_APX
+from conftest import (
+    EXAMPLE1_APX,
+    enumerate_orders,
+    is_valid_ranking,
+    random_framework,
+    random_labelling,
+    random_order,
+    write_order,
+)
 from prefarg import (
     IN,
     OUT,
@@ -22,19 +30,15 @@ from prefarg import (
     decide,
     emit_apx,
     emit_labelling,
-    emit_order,
-    is_valid_ranking,
     parse_apx,
     parse_labelling,
     parse_order,
-    rank,
     verify_witness,
 )
-from conftest import random_framework, random_labelling, random_order
 from prefarg.cli import main
 from prefarg.preferences import order_to_pref_fn
 from prefarg.reductions import graph_from_pref_fn, reduce
-from prefarg.oracle import enumerate_orders
+from prefarg.solvers import _rank_detail
 
 RANK_FIGURE = Framework(
     "abcdef",
@@ -160,12 +164,12 @@ def test_criterion_2_figure_reductions(tmp_path, capsys):
 
 def test_criterion_3_rank_regression(capsys):
     started = time.perf_counter()
-    psi = rank(RANK_FIGURE, RANK_LABELLING)
+    psi = _rank_detail(RANK_FIGURE, RANK_LABELLING.in_args, RANK_LABELLING.undec_args)[0]
     annotated = {"a": 0, "b": 1, "f": 2, "e": 2, "c": 2, "d": 3}
     extended = Framework(
         RANK_FIGURE.arguments, set(RANK_FIGURE.attacks) | {("b", "d")}
     )
-    negative = rank(extended, RANK_LABELLING)
+    negative = _rank_detail(extended, RANK_LABELLING.in_args, RANK_LABELLING.undec_args)[0]
     elapsed = time.perf_counter() - started
     ok = (
         psi is not None
@@ -321,7 +325,7 @@ def test_criterion_10_io_round_trips(capsys):
         if parse_labelling(emit_labelling(labelling)) != labelling:
             failures += 1
         order = random_order(rng, framework)
-        if parse_order(emit_order(order, framework)) != order:
+        if parse_order(write_order(order, framework)) != order:
             failures += 1
     with capsys.disabled():
         _criterion(10, failures == 0, f"1000 frameworks/labellings/orders, {failures} failures")

@@ -48,7 +48,7 @@ def test_has_cycle_matches_networkx():
 
 def test_strongly_connected_matches_networkx():
     for fw in random_frameworks(53):
-        successors = {a: sorted(fw.targets(a)) for a in fw.arguments}
+        successors = {a: sorted(fw._targets[a]) for a in fw.arguments}
         component = _strongly_connected(sorted(fw.arguments), successors.__getitem__)
         blocks: dict[int, set[str]] = {}
         for name, block in component.items():
@@ -79,7 +79,7 @@ def test_cyclic_core_is_the_nontrivial_sccs_and_their_descendants():
                     expected |= nx.descendants(graph, node)
             core = fw._cyclic_core(within)
             assert core == expected
-            assert all(fw.attackers(a) & core for a in core)
+            assert all(fw._attackers[a] & core for a in core)
             saw_partial |= bool(core) and core != within
     assert saw_partial
 
@@ -99,7 +99,7 @@ def test_layer_depths_are_undirected_distances_inside_the_boundary():
 
 def test_strongly_connected_numbers_sinks_first():
     for fw in random_frameworks(55):
-        successors = {a: sorted(fw.targets(a)) for a in fw.arguments}
+        successors = {a: sorted(fw._targets[a]) for a in fw.arguments}
         component = _strongly_connected(sorted(fw.arguments), successors.__getitem__)
         for src, dst in fw.attacks:
             assert component[src] >= component[dst]
@@ -110,7 +110,7 @@ def test_bfs_path_is_a_shortest_path_inside_a_strong_component():
     lengths = set()
     for fw in random_frameworks(60):
         graph = as_digraph(fw)
-        successors = {a: sorted(fw.targets(a)) for a in fw.arguments}
+        successors = {a: sorted(fw._targets[a]) for a in fw.arguments}
         for scc in nx.strongly_connected_components(graph):
             members = sorted(scc)
             start, goal = rng.choice(members), rng.choice(members)

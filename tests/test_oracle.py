@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_framework
+from conftest import enumerate_orders, random_framework
 from prefarg import oracle
 from prefarg import (
     Framework,
@@ -10,12 +10,11 @@ from prefarg import (
     SizeLimitError,
     brute_force_ex,
     decide,
-    enumerate_orders,
     is_complete,
     reduce,
     validate_order,
-    weak_orders,
 )
+from prefarg.oracle import weak_orders
 
 ORDERED_BELL = {0: 1, 1: 1, 2: 3, 3: 13, 4: 75}
 

@@ -10,6 +10,7 @@ from conftest import (
     reference_conditions_1_2,
     reference_grounded,
     reference_reduce,
+    write_order,
 )
 from prefarg import (
     IN,
@@ -26,19 +27,17 @@ from prefarg import (
     decide_all,
     emit_apx,
     emit_labelling,
-    emit_order,
     emit_result,
     is_complete,
     parse_apx,
     parse_labelling,
     parse_order,
     parse_result,
-    rank,
     reduce,
     verify_witness,
 )
 from prefarg.reductions import REDUCTIONS, _reduced_complete
-from prefarg.solvers import _Checks
+from prefarg.solvers import _Checks, _rank_detail
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -75,7 +74,7 @@ def instances(draw, labels=("in", "out", "undec"), size=len(NAMES)):
 def test_rank_is_the_kleene_fixpoint(instance):
     fw, lab = instance
     reference = kleene_rank(fw, lab.in_args, lab.undec_args)
-    psi = rank(fw, lab)
+    psi = _rank_detail(fw, lab.in_args, lab.undec_args)[0]
     if max(reference.values(), default=0) > len(reference):
         assert psi is None
     else:
@@ -147,7 +146,7 @@ ROUND_TRIP_SETTINGS = hypothesis.settings(
 
 @st.composite
 def orders(draw, framework: Framework) -> PreferenceOrder:
-    """A CC-wise total order, its classes grouped by component as `emit_order` writes them."""
+    """A CC-wise total order, its classes grouped by component as `write_order` writes them."""
     classes = []
     for component in framework.connected_components():
         members = draw(st.permutations(sorted(component)))
@@ -186,7 +185,7 @@ def test_every_format_reads_back_what_it_writes(data):
     assert parse_apx(emit_apx(fw)) == fw
     assert parse_labelling(emit_labelling(lab)) == lab
     order = data.draw(orders(fw))
-    assert parse_order(emit_order(order, fw)) == order
+    assert parse_order(write_order(order, fw)) == order
     decision = data.draw(decisions(fw))
     assert parse_result(emit_result(decision)) == decision
 

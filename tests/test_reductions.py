@@ -6,6 +6,7 @@ from conftest import (
     all_frameworks,
     assert_indexed_like_a_checked_build,
     random_framework,
+    enumerate_orders,
     random_order,
     reference_reduce,
 )
@@ -15,8 +16,6 @@ from prefarg import (
     Labelling,
     PreferenceFunction,
     PreferenceOrder,
-    emit_order,
-    enumerate_orders,
     graph_from_pref_fn,
     order_to_pref_fn,
     reduce,
@@ -54,11 +53,10 @@ def test_reduce_rejects_bad_index(example1):
     [
         lambda fw, order: reduce(fw, order, 1),
         lambda fw, order: verify_witness(fw, Labelling(in_args="ad", out_args="bc"), 1, order),
-        lambda fw, order: emit_order(order, fw),
     ],
-    ids=["reduce", "verify_witness", "emit_order"],
+    ids=["reduce", "verify_witness"],
 )
-def test_reduce_verify_witness_and_emit_order_refuse_an_invalid_order(example1, use):
+def test_reduce_and_verify_witness_refuse_an_invalid_order(example1, use):
     with pytest.raises(InvalidOrderError):
         use(example1, PreferenceOrder([("a",), ("b",)]))
 

@@ -80,3 +80,40 @@ def test_only_the_cli_entry_point_touches_the_garbage_collector():
                 uses.append((path.stem, id(node) in in_main))
     assert imports == [("cli", "gc", None)]
     assert uses and set(uses) == {("cli", True)}
+
+
+def _reads_outside_own_definition(tree: ast.AST) -> set[str]:
+    """Names a module loads or reads as attributes, except inside the def or class of that name."""
+    reads: set[str] = set()
+
+    def visit(node: ast.AST, inside: frozenset[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.update({node.id} - inside)
+        elif isinstance(node, ast.Attribute):
+            reads.update({node.attr} - inside)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return reads
+
+
+def test_every_exported_name_is_read_by_the_library_or_a_demo():
+    """An export that only the tests reach is surface nothing needs: delete it or use it."""
+    exempt = {
+        # Patched by benchmarks/tracing.py under the name the package exports.
+        *(name for _, name in _tracer_pins()),
+        # The reader for `solve` output that a certificate checker is to build on.
+        "parse_result",
+        # The public completeness predicate, `completeness_violation(...) is None`.
+        "is_complete",
+    }
+    package = Path(prefarg.__file__).parent
+    sources = [path for path in package.glob("*.py") if path.stem != "__init__"]
+    sources += sorted((ROOT / "demos").glob("*.py"))
+    read = set().union(
+        *(_reads_outside_own_definition(ast.parse(p.read_text(encoding="utf-8"))) for p in sources)
+    )
+    assert set(prefarg.__all__) - read - exempt == set()

@@ -4,7 +4,8 @@ The work on one instance is what `decide_all` under the four reductions and
 `verify_witness` on every yes read from the attacker and target tables, each
 read charged 1 plus the size of the set it returns (`conftest.metered`). The
 count is the same on every machine and under every hash seed, so a
-quadratic shows as work per (n + m) that grows with n.
+quadratic shows as work per (n + m) that grows with n. Every shape's verdicts
+under the reductions it was planted for are checked too.
 """
 
 import random
@@ -27,10 +28,17 @@ LEVELS = 3  # preference levels of the tied shapes
 PER_DOUBLING = 2.1
 
 
-def _planted(build):
+def _planted(build, reductions=None):
+    """The shape at size n as (framework, labelling, planted).
+
+    `planted` maps each of `reductions`, by default the instance's own, to the
+    generator's answer.
+    """
+
     def instance(n):
         inst = build(random.Random(n), n)
-        return Framework(inst.arguments, inst.attacks), Labelling.from_map(inst.labelling)
+        planted = dict.fromkeys(reductions or (inst.reduction,), inst.expected)
+        return Framework(inst.arguments, inst.attacks), Labelling.from_map(inst.labelling), planted
 
     return instance
 
@@ -48,7 +56,7 @@ def _near_miss(rng, n):
 def _chain(closed):
     def instance(n):
         framework, labelling, _, _ = shared_chain(n // 8, n // 2, closed)
-        return framework, labelling
+        return framework, labelling, {4: "yes"}  # as `shared_chain` plants it
 
     return instance
 
@@ -61,19 +69,23 @@ SHAPES = {
     # Complete as planted: every reduction answers yes, and each witness is verified.
     "tied-r2": (_tied(2), 13, SIZES),
     "deep": (_planted(lambda rng, n: generator.deep(rng, "d", n, RATIO)), 9, SIZES),
-    "near-miss": (_planted(_near_miss), 1.7, SIZES),
+    # The relabelled out argument has no in neighbour left, so all four answer no.
+    "near-miss": (_planted(_near_miss, (1, 2, 3, 4)), 1.7, SIZES),
     "open-chain": (_chain(False), 18, SIZES),
     # At n = 4000 this shape alone takes seconds.
     "closed-chain": (_chain(True), 18, SIZES[:2]),
 }
 
 
-def _work(framework: Framework, labelling: Labelling) -> int:
+def _work(framework: Framework, labelling: Labelling) -> tuple[int, dict[int, str]]:
+    """The work of deciding and verifying, and each reduction's verdict."""
     counted, meter = metered(framework)
+    verdicts = {}
     for decision in decide_all(counted, labelling, (1, 2, 3, 4)):
         if decision.yes:
             assert verify_witness(counted, labelling, decision.reduction, decision.witness)
-    return meter[0]
+        verdicts[decision.reduction] = decision.verdict
+    return meter[0], verdicts
 
 
 @pytest.mark.parametrize(
@@ -93,8 +105,10 @@ def test_work_is_linear_in_n_plus_m(shape):
     build, bound, sizes = SHAPES[shape]
     works = []
     for n in sizes:
-        framework, labelling = build(n)
-        works.append(_work(framework, labelling))
-        assert works[-1] <= bound * (len(framework.arguments) + len(framework.attacks)), n
+        framework, labelling, planted = build(n)
+        work, verdicts = _work(framework, labelling)
+        assert {r: verdicts[r] for r in planted} == planted, n
+        works.append(work)
+        assert work <= bound * (len(framework.arguments) + len(framework.attacks)), n
     for n, smaller, larger in zip(sizes, works, works[1:]):
         assert larger <= PER_DOUBLING * smaller, n
