@@ -171,6 +171,27 @@ def test_parse_apx_names_junk_up_to_a_comment_and_40_characters():
     assert str(info.value) == f"line 1: unrecognised content: {'y' * 40!r}"
 
 
+@pytest.mark.parametrize(
+    "text, line, junk",
+    [
+        ("junk arg(a).\n", 1, "junk arg(a)."),
+        ("arg(a). junk arg(b).\n", 1, "junk arg(b)."),
+        ("arg(a).\narg(b).\n junk", 3, "junk"),
+    ],
+    ids=["before-the-facts", "between-facts", "after-the-facts"],
+)
+def test_parse_apx_refuses_junk_anywhere_around_the_facts(text, line, junk):
+    with pytest.raises(ParseError) as info:
+        parse_apx(text)
+    assert info.value.line == line
+    assert str(info.value) == f"line {line}: unrecognised content: {junk!r}"
+
+
+def test_parse_apx_pairs_attacks_across_interleaved_facts():
+    text = "att(a,b). arg(b). att(b,a). arg(a). att(a,a)."
+    assert parse_apx(text) == Framework("ab", [("a", "b"), ("b", "a"), ("a", "a")])
+
+
 # --- labellings ------------------------------------------------------------
 
 
