@@ -15,6 +15,7 @@ import gc
 import json
 import random
 import sys
+from functools import partial
 from pathlib import Path
 
 from .errors import PrefargError
@@ -58,19 +59,29 @@ def _load_instance(framework_path: str, labelling_path: str):
     return framework, parse_labelling(_read(labelling_path))
 
 
-def _reduction_list(value: str) -> list[int]:
-    return list(REDUCTIONS) if value == "all" else [int(value)]
+def _verified(framework, labelling, decisions):
+    """Each decision in turn, once `verify_witness` has passed its yes witness.
 
-
-def _decisions(framework, labelling, reductions: str):
-    """Each asked-for reduction's decision in turn, every yes witness verified."""
-    for decision in decide_all(framework, labelling, _reduction_list(reductions)):
-        if decision.yes and (
-            decision.witness is None
-            or not verify_witness(framework, labelling, decision.reduction, decision.witness)
-        ):
-            raise _InternalError(f"witness for reduction {decision.reduction} failed verification")
+    A witness object is checked once: the one `decide_all` hands to several
+    reductions is the order of equals, under which every reduction keeps every attack.
+    """
+    checked = object()  # the witness verified last
+    for decision in decisions:
+        witness, reduction = decision.witness, decision.reduction
+        if decision.yes and witness is not checked:
+            if witness is None or not verify_witness(framework, labelling, reduction, witness):
+                raise _InternalError(f"witness for reduction {reduction} failed verification")
+            checked = witness
         yield decision
+
+
+def _emit(decisions, line) -> int:
+    """Print `line(decision)` for each decision; exit 0 when one says yes, else 1."""
+    any_yes = False
+    for decision in decisions:
+        print(line(decision))
+        any_yes = any_yes or decision.yes
+    return EXIT_YES if any_yes else EXIT_NO
 
 
 class _InternalError(Exception):
@@ -78,18 +89,15 @@ class _InternalError(Exception):
 
 
 def _cmd_solve(args) -> int:
-    framework_path, labelling_path = Path(args.framework), Path(args.labelling)
-    if framework_path.is_dir() or labelling_path.is_dir():
-        return _run_batch(args)
+    reductions = list(REDUCTIONS) if args.reduction == "all" else [int(args.reduction)]
+    if Path(args.framework).is_dir() or Path(args.labelling).is_dir():
+        return _run_batch(args, reductions)
     framework, labelling = _load_instance(args.framework, args.labelling)
-    any_yes = False
-    for decision in _decisions(framework, labelling, args.reduction):
-        print(emit_result(decision, fmt=args.format))
-        any_yes = any_yes or decision.yes
-    return EXIT_YES if any_yes else EXIT_NO
+    decisions = decide_all(framework, labelling, reductions)
+    return _emit(_verified(framework, labelling, decisions), partial(emit_result, fmt=args.format))
 
 
-def _run_batch(args) -> int:
+def _run_batch(args, reductions: list[int]) -> int:
     """Directory mode: instances paired by stem, one JSON line per verdict.
 
     A pair that cannot be read or decided gets one error line instead, the
@@ -111,13 +119,13 @@ def _run_batch(args) -> int:
     for stem in stems:
         try:
             framework, labelling = _load_instance(str(frameworks[stem]), str(labellings[stem]))
-            decisions = list(_decisions(framework, labelling, args.reduction))
+            decisions = decide_all(framework, labelling, reductions)
+            decisions = list(_verified(framework, labelling, decisions))
         except (PrefargError, OSError) as exc:
             failed = True
             print(json.dumps({"instance": stem, "error": str(exc)}))
             continue
-        for decision in decisions:
-            print(json.dumps({"instance": stem, **result_payload(decision)}))
+        _emit(decisions, lambda d: json.dumps({"instance": stem, **result_payload(d)}))
     return EXIT_INPUT_ERROR if failed else EXIT_YES
 
 
@@ -140,9 +148,8 @@ def _cmd_labellings(args) -> int:
 def _cmd_oracle(args) -> int:
     framework, labelling = _load_instance(args.framework, args.labelling)
     found, order = brute_force_ex(framework, labelling, args.reduction)
-    decision = Decision(found, args.reduction, witness=order)
-    print(emit_result(decision, fmt=args.format))
-    return EXIT_YES if found else EXIT_NO
+    decisions = [Decision(found, args.reduction, witness=order)]
+    return _emit(_verified(framework, labelling, decisions), partial(emit_result, fmt=args.format))
 
 
 def _cmd_gen(args) -> int:

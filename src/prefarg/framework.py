@@ -137,14 +137,18 @@ class Framework(_Value):
                     queue.append(other)
         return queue
 
+    def _blocks(self, within: AbstractSet[str]) -> list[frozenset[str]]:
+        """The undirected components of the subgraph `within` induces, by least name."""
+        depth: dict[str, int] = {}
+        blocks = []
+        for start in sorted(within):
+            if start not in depth:
+                blocks.append(frozenset(self._layer((start,), depth, within)))
+        return blocks
+
     @cached_property
     def _components(self) -> tuple[frozenset[str], ...]:
-        depth: dict[str, int] = {}
-        components = []
-        for start in sorted(self.arguments):
-            if start not in depth:
-                components.append(frozenset(self._layer((start,), depth, self.arguments)))
-        return tuple(components)
+        return tuple(self._blocks(self.arguments))
 
     @cached_property
     def _component_of(self) -> dict[str, int]:

@@ -179,23 +179,12 @@ def emit_dot(
 
 def result_payload(decision: Decision) -> dict:
     """The JSON object `emit_result` writes for a decision, before encoding."""
+    witness, cert = decision.witness, decision.certificate
     return {
         "verdict": decision.verdict,
         "reduction": decision.reduction,
-        "witness": (
-            [sorted(cls) for cls in decision.witness.classes]
-            if decision.witness is not None
-            else None
-        ),
-        "certificate": (
-            {
-                "condition": decision.certificate.condition,
-                "witness": list(decision.certificate.witness),
-                "detail": decision.certificate.detail,
-            }
-            if decision.certificate is not None
-            else None
-        ),
+        "witness": None if witness is None else [sorted(cls) for cls in witness.classes],
+        "certificate": None if cert is None else {**cert._asdict(), "witness": list(cert.witness)},
     }
 
 

@@ -139,8 +139,9 @@ def enumerate_complete(framework: Framework) -> list[Labelling]:
     a clause is unsatisfiable, attackers before their targets: strongly
     connected components of the attack graph sources first, names within
     one. Every leaf is complete: each argument's clause was checked once all
-    of its attackers were assigned. Refuses frameworks above
-    `LABELLING_CAP` arguments.
+    of its attackers were assigned. The pruning tests walk attacker sets in
+    name order, so the work does not depend on the hash seed. Refuses
+    frameworks above `LABELLING_CAP` arguments.
     """
     count = len(framework.arguments)
     if count > LABELLING_CAP:
@@ -159,13 +160,13 @@ def enumerate_complete(framework: Framework) -> list[Labelling]:
         return (
             name not in assign
             and name not in attackers[name]
-            and all(assign.get(b, OUT) == OUT for b in attackers[name])
+            and all(assign.get(b, OUT) == OUT for b in sorted(attackers[name]))
         )
 
     def ends_out(name: str) -> bool:
         # Labelled out, or open with an attacker labelled in, so it can only end out.
         label = assign.get(name)
-        return label == OUT or label is None and IN in map(assign.get, attackers[name])
+        return label == OUT or label is None and IN in map(assign.get, sorted(attackers[name]))
 
     def alive_around(name: str) -> bool:
         # Only the clauses that read the fresh label can newly fail: its own, its targets',
@@ -180,9 +181,9 @@ def enumerate_complete(framework: Framework) -> list[Labelling]:
                 if any(lb in (IN, UNDEC) for lb in attacker_labels):
                     return False
             elif label == OUT:
-                if IN not in attacker_labels and not any(map(could_be_in, sources)):
+                if IN not in attacker_labels and not any(map(could_be_in, sorted(sources))):
                     return False
-            elif IN in attacker_labels or all(map(ends_out, sources)):
+            elif IN in attacker_labels or all(map(ends_out, sorted(sources))):
                 return False
         return True
 

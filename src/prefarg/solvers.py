@@ -68,12 +68,11 @@ def _conditions_1_2(
 
 
 class _Checks:
-    """The rejection checks on one (framework, labelling), each run at most once.
+    """What the reductions of one `decide_all` call share, each made at most once.
 
-    All of them read the completeness violators, listed by one scan of the
-    labelled arguments' attackers. `decide_all` makes one per call and hands
-    it to each decider, so the checks never outlive the call that asked for
-    them.
+    The rejection checks read the completeness violators, listed by one scan
+    of the labelled arguments' attackers; reductions 1 and 3 read one
+    layering; an already complete labelling gets one order of equals.
     """
 
     def __init__(self, framework: Framework, labelling: Labelling):
@@ -92,33 +91,34 @@ class _Checks:
     def conditions_1_2(self) -> Certificate | None:
         return _conditions_1_2(self.framework, self.labelling, self.violators)
 
+    @cached_property
+    def equals(self) -> PreferenceOrder:
+        return PreferenceOrder.all_equivalent(self.framework)
+
+    @cached_property
+    def layering(self) -> tuple[dict[str, int], list[frozenset[str]]]:
+        """The depths of reductions 1 and 3, and the undec blocks they miss, by least name.
+
+        The in arguments sit on layer 0 and the undec ones are layered from
+        their cyclic core: every core argument keeps an attacker inside the
+        core, and every other one keeps one on the layer above it, directly or
+        by reflection. The blocks missed are those without a cycle; `_ex3`
+        layers them into the same depths, which `_ex1` reads only when none is.
+        """
+        framework, undec = self.framework, self.labelling.undec_args
+        depth = dict.fromkeys(self.labelling.in_args, 0)
+        framework._layer(framework._cyclic_core(undec), depth, undec)
+        return depth, framework._blocks(undec.difference(depth))
+
 
 def _witness(framework: Framework, labelling: Labelling, depth: dict) -> PreferenceOrder:
     """The order of the in/undec depths, with every out argument below them all.
 
     Layers and rank values never exceed the argument count, so an attack
-    into an out argument is kept and one leaving it runs down. Under
-    reductions 1 and 3 the in arguments sit on layer 0 and the undec ones
-    are layered from a cyclic core: every core argument keeps an attacker
-    inside the core, and every other argument keeps one on the layer above
-    it, directly or by reflection.
+    into an out argument is kept and one leaving it runs down.
     """
     depth.update(dict.fromkeys(labelling.out_args, len(framework.arguments) + 1))
     return order_by_depth(framework, depth)
-
-
-def _acyclic_undec_blocks(framework: Framework, labelling: Labelling, depth: dict):
-    """Layer the in arguments (depth 0) and the undec ones, from their cyclic core, into `depth`.
-
-    Then yield each undec block that layering missed, once, by least name.
-    """
-    undec = labelling.undec_args
-    depth.update(dict.fromkeys(labelling.in_args, 0))
-    framework._layer(framework._cyclic_core(undec), depth, undec)
-    missed: dict[str, int] = {}
-    for start in sorted(undec):
-        if start not in depth and start not in missed:
-            yield frozenset(framework._layer((start,), missed, undec))
 
 
 def _ex1(checks: _Checks) -> Decision:
@@ -131,13 +131,11 @@ def _ex1(checks: _Checks) -> Decision:
     failed = checks.conditions_1_2
     if failed is not None:
         return Decision(False, 1, certificate=failed)
-    framework, labelling = checks.framework, checks.labelling
-    depth: dict[str, int] = {}
-    block = next(_acyclic_undec_blocks(framework, labelling, depth), None)
-    if block is not None:
+    depth, missed = checks.layering
+    if missed:
         detail = "undec component without a cycle"
-        return Decision(False, 1, certificate=Certificate(3, tuple(sorted(block)), detail))
-    return Decision(True, 1, witness=_witness(framework, labelling, depth))
+        return Decision(False, 1, certificate=Certificate(3, tuple(sorted(missed[0])), detail))
+    return Decision(True, 1, witness=_witness(checks.framework, checks.labelling, depth))
 
 
 def _ex2(checks: _Checks) -> Decision:
@@ -155,8 +153,8 @@ def _ex3(checks: _Checks) -> Decision:
     if failed is not None:
         return Decision(False, 3, certificate=failed)
     framework, labelling = checks.framework, checks.labelling
-    depth: dict[str, int] = {}
-    for block in _acyclic_undec_blocks(framework, labelling, depth):
+    depth, missed = checks.layering
+    for block in missed:
         # Without a cycle, layer from the target d of the least attack (s, d):
         # s lands on layer 1, so that attack runs down and becomes mutual.
         least = min(((s, d) for s in block for d in framework._targets[s] & block), default=None)
@@ -280,15 +278,15 @@ def decide_all(
     """Yield `decide(framework, labelling, r)` for each reduction r in turn.
 
     An already complete labelling gets the order of equals, under which every
-    reduction keeps every attack. The scan for completeness violators runs at
-    most once, under the first reduction, and every check reads its list; all
-    are dropped with the generator.
+    reduction keeps every attack. What the reductions share, from the scan for
+    completeness violators on, is made under the first that needs it and
+    dropped with the generator.
     """
     checks = _Checks(framework, labelling)
     for reduction in reductions:
         _check_index(reduction)
         if checks.violation is None:
-            yield Decision(True, reduction, witness=PreferenceOrder.all_equivalent(framework))
+            yield Decision(True, reduction, witness=checks.equals)
         else:
             yield DECIDERS[reduction](checks)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import EXAMPLE1_APX, REPEATED_KEY_LABELLINGS, shared_chain
-from prefarg import cli, emit_apx, emit_labelling
+from prefarg import cli, emit_apx, emit_labelling, verify_witness
 from prefarg.cli import main
 
 TWO_ARG_APX = "arg(a). arg(b). att(a,b).\n"
@@ -129,6 +129,41 @@ def test_solve_refuses_an_unverified_witness(tmp_path, two_arg_file, capsys, mon
     assert code == 3
     assert captured.out == ""
     assert "internal error" in captured.err
+
+
+@pytest.mark.parametrize("witness", ["equals", None])
+def test_oracle_refuses_an_unverified_witness(tmp_path, two_arg_file, capsys, monkeypatch, witness):
+    from prefarg import PreferenceOrder
+
+    # Under the order of equals the target keeps its out argument without an in attacker.
+    order = PreferenceOrder([("a", "b")]) if witness == "equals" else None
+    monkeypatch.setattr(cli, "brute_force_ex", lambda framework, labelling, reduction: (True, order))
+    lab = write(tmp_path, "l2.json", L2_JSON)
+    code = main(["oracle", "--framework", str(two_arg_file), "--labelling", str(lab), "--reduction", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "internal error" in captured.err
+
+
+@pytest.mark.parametrize(("complete", "verified"), [(True, [1]), (False, [1, 3])])
+def test_solve_verifies_each_witness_object_once(
+    tmp_path, example1_files, two_arg_file, capsys, monkeypatch, complete, verified
+):
+    # A complete labelling shares the order of equals among all four reductions;
+    # otherwise each yes (reductions 1 and 3 on the two-argument instance) has its own.
+    calls = []
+
+    def counted(framework, labelling, reduction, order):
+        calls.append(reduction)
+        return verify_witness(framework, labelling, reduction, order)
+
+    monkeypatch.setattr(cli, "verify_witness", counted)
+    fw, lab = example1_files if complete else (two_arg_file, write(tmp_path, "l2.json", L2_JSON))
+    code = main(["solve", "--framework", str(fw), "--labelling", str(lab), "--reduction", "all"])
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    assert calls == verified
 
 
 def test_solve_negative_instance_has_no_witness(tmp_path, two_arg_file, capsys):

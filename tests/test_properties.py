@@ -36,7 +36,7 @@ from prefarg import (
     reduce,
     verify_witness,
 )
-from prefarg.reductions import REDUCTIONS, _reduced_complete
+from prefarg.reductions import REDUCTIONS, _reduced_attackers, _reduced_complete
 from prefarg.solvers import _Checks, _rank_detail
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -105,9 +105,25 @@ def test_decide_all_matches_separate_calls_in_any_order(instance, reductions):
     fw, lab = instance
     decisions = list(decide_all(fw, lab, reductions))
     assert decisions == [decide(fw, lab, r) for r in reductions]
-    # A complete labelling gets the order of equals under every reduction.
+    # A complete labelling gets one order-of-equals object under every reduction;
+    # otherwise no two decisions share a witness object.
     equals = [Decision(True, r, witness=PreferenceOrder.all_equivalent(fw)) for r in reductions]
-    assert not is_complete(fw, lab) or decisions == equals
+    witnesses = [id(d.witness) for d in decisions if d.yes]
+    if is_complete(fw, lab):
+        assert decisions == equals and len(set(witnesses)) <= 1
+    else:
+        assert len(set(witnesses)) == len(witnesses)
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(instances())
+def test_every_reduction_keeps_every_attack_under_the_order_of_equals(instance):
+    # So `cli._verified` checks the one witness `decide_all` shares among reductions once.
+    fw, _ = instance
+    rank = PreferenceOrder.all_equivalent(fw)._rank
+    for reduction in REDUCTIONS:
+        kept = _reduced_attackers(fw, rank, reduction)
+        assert {a: kept(a) for a in fw.arguments} == fw._attackers
 
 
 # Five arguments keep each instance's exhaustive search at 541 orders or fewer.

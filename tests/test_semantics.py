@@ -1,5 +1,10 @@
+import ast
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,11 +141,22 @@ def test_enumeration_labels_attackers_before_their_targets():
     assert [as_triple(l) for l in enumerate_complete(fw)] == [((), (), tuple(names))]
 
 
-# Each shape's bound on the reads of both tables, each charged 1 plus the size
-# of its set (`conftest.metered`). The count moves with set order, so the bound
-# is about 1.2 times the most read under 60 hash seeds: 161,620, 22,071 and
-# 29,095.
-ENUMERATION_WORK = {"mutual-clique": 195_000, "complete-digraph": 27_000, "mutual-K10,10": 35_000}
+# Each shape's work: the reads of both tables, each charged 1 plus the size of
+# its set (`conftest.metered`). The search walks attacker sets in name order,
+# so the count is the same under every hash seed.
+ENUMERATION_WORK = {"mutual-clique": 154_440, "complete-digraph": 14_490, "mutual-K10,10": 27_225}
+
+
+def _enumeration_work(shape):
+    """The shape's complete labellings, as triples, and the work of enumerating them."""
+    names = [f"a{i:02d}" for i in range(20)]
+    if shape == "mutual-K10,10":
+        sides = names[:10], names[10:]
+        attacks = [(a, b) for one, other in (sides, sides[::-1]) for a in one for b in other]
+    else:
+        attacks = [(a, b) for a in names for b in names if shape == "complete-digraph" or a != b]
+    fw, meter = metered(Framework(names, attacks))
+    return [as_triple(l) for l in enumerate_complete(fw)], meter[0]
 
 
 @pytest.mark.parametrize("shape", ENUMERATION_WORK)
@@ -155,21 +171,30 @@ def test_enumeration_is_polynomial_on_complete_digraphs(shape):
     # one side in and the other out. Once a side's argument turns in or undec,
     # the labels of its own side are re-checked through the open other side,
     # whose arguments can no longer be in and, under an in one, must end out.
-    n = 20
-    names = [f"a{i:02d}" for i in range(n)]
+    names = [f"a{i:02d}" for i in range(20)]
     expected = [((), (), tuple(names))]
     if shape == "mutual-K10,10":
         sides = names[:10], names[10:]
-        attacks = [(a, b) for one, other in (sides, sides[::-1]) for a in one for b in other]
         expected += [(tuple(one), tuple(other), ()) for one, other in (sides, sides[::-1])]
-    else:
-        self_attacks = shape == "complete-digraph"
-        attacks = [(a, b) for a in names for b in names if self_attacks or a != b]
-        if not self_attacks:
-            expected += [((a,), tuple(b for b in names if b != a), ()) for a in names]
-    fw, meter = metered(Framework(names, attacks))
-    assert [as_triple(l) for l in enumerate_complete(fw)] == expected
-    assert meter[0] <= ENUMERATION_WORK[shape]
+    elif shape == "mutual-clique":
+        expected += [((a,), tuple(b for b in names if b != a), ()) for a in names]
+    assert _enumeration_work(shape) == (expected, ENUMERATION_WORK[shape])
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_enumeration_work_is_the_same_under_every_hash_seed(seed):
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    code = "import test_semantics as t; print([t._enumeration_work(s)[1] for s in t.ENUMERATION_WORK])"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert ast.literal_eval(done.stdout) == list(ENUMERATION_WORK.values())
 
 
 def test_enumeration_matches_exhaustive_scan():

@@ -182,11 +182,12 @@ def test_acyclic_undec_blocks_need_weak_removal(shape):
 
 
 def test_acyclic_undec_blocks_yield_each_missed_block_once():
-    # Listed without layering any block: the cyclic x-y-z part is layered, the two paths are missed.
+    # The cyclic core x-y-z is layered, the two paths are missed and left unlayered.
     attacks = [("a", "b"), ("b", "c"), ("d", "e"), ("x", "y"), ("y", "x"), ("y", "z")]
     fw = Framework("abcdexyz", attacks)
-    blocks = list(solvers._acyclic_undec_blocks(fw, Labelling(undec_args=fw.arguments), {}))
+    depth, blocks = solvers._Checks(fw, Labelling(undec_args=fw.arguments)).layering
     assert blocks == [frozenset("abc"), frozenset("de")]
+    assert depth == dict.fromkeys("xyz", 0)
 
 
 # --- reductions 1 and 3 on undec parts of several blocks --------------------
