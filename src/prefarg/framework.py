@@ -2,7 +2,7 @@
 
 import re
 from functools import cached_property
-from typing import AbstractSet, Callable, Collection, Iterable
+from typing import AbstractSet, Callable, Iterable
 
 from .errors import UnknownArgumentError
 
@@ -12,22 +12,20 @@ NAME_CHARS = "[A-Za-z0-9_]"  # an argument name is one or more of these
 NAME_PATTERN = re.compile(f"{NAME_CHARS}+\\Z")
 
 
-def _attacker_table(args: frozenset[str], attacks: Collection[Attack]) -> dict[str, set[str]]:
+def _attacker_table(args: frozenset[str], attacks: Iterable[Attack]) -> dict[str, set[str]]:
     """Each argument's attackers, every source stored as the argument's own string.
 
-    An attack with an endpoint outside `args` raises UnknownArgumentError
-    naming the least such attack.
+    The pairs are read as they come, not copied into a list. An attack with an
+    endpoint outside `args` raises UnknownArgumentError naming the least such attack.
     """
     table: dict[str, set[str]] = {a: set() for a in args}
     own = dict(zip(args, args))
     try:
         for src, dst in attacks:
             table[dst].add(own[src])
-    except KeyError:
-        src, dst = min(
-            ((s, d) for s, d in attacks if s not in args or d not in args),
-            key=lambda att: (str(att[0]), str(att[1])),
-        )
+    except KeyError:  # at (src, dst); a collection is read again, an iterator to its end
+        rest = ((s, d) for s, d in attacks if s not in args or d not in args)
+        src, dst = min(((src, dst), *rest), key=lambda att: (str(att[0]), str(att[1])))
         raise UnknownArgumentError(
             f"attack ({str(src)[:40]},{str(dst)[:40]}) references an unknown argument"
         ) from None
@@ -83,7 +81,7 @@ class Framework(_Value):
             if not isinstance(name, str) or not NAME_PATTERN.match(name):
                 raise ValueError(f"bad argument name: {name!r}")
         object.__setattr__(self, "arguments", args)
-        object.__setattr__(self, "_attackers", _attacker_table(args, list(attacks)))
+        object.__setattr__(self, "_attackers", _attacker_table(args, attacks))
 
     @classmethod
     def _derived(cls, arguments: frozenset[str], attackers: dict[str, set[str]]) -> "Framework":

@@ -22,6 +22,8 @@ _NAME = f"({NAME_CHARS}+)"
 _ARG = rf"arg\({_S}{_NAME}{_S}\){_S}\."
 _ATT = rf"att\({_S}{_NAME}{_S},{_S}{_NAME}{_S}\){_S}\."
 _FACT = re.compile(f"{_ARG}|{_ATT}")
+# The facts as `emit_apx` writes them, with no space inside: the first split tried.
+_PLAIN_FACT = re.compile(_FACT.pattern.replace(_S, ""))
 _COMMENT = re.compile(r"%[^\n]*")
 # The ASCII line breaks of `str.splitlines` besides "\n". Its other breaks are not
 # ASCII, so an ASCII text without these needs no rewriting of its breaks.
@@ -40,14 +42,17 @@ def parse_apx(text: str) -> Framework:
     if "%" in text:
         text = _COMMENT.sub("", text)
     # Each fact leaves its three groups, None where the other kind of fact
-    # matched, between the pieces of text around the facts.
-    parts = _FACT.split(text)
+    # matched, between the pieces of text around the facts. Where the plain
+    # facts leave only blank pieces, `_FACT` would split the text the same way.
+    parts = _PLAIN_FACT.split(text)
     if "".join(parts[::4]).strip():
-        raise _content_error(text)
+        parts = _FACT.split(text)
+        if "".join(parts[::4]).strip():
+            raise _content_error(text)
     args = frozenset(filter(None, parts[1::4]))
-    pairs = list(zip(filter(None, parts[2::4]), filter(None, parts[3::4])))
+    attacks = zip(filter(None, parts[2::4]), filter(None, parts[3::4]))
     del parts  # four slots a fact, freed before the table build sets the peak memory
-    return Framework._derived(args, _attacker_table(args, pairs))
+    return Framework._derived(args, _attacker_table(args, attacks))
 
 
 def _content_error(text: str) -> ParseError:

@@ -1,4 +1,6 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from conftest import (
     random_order,
     write_order,
 )
+from prefarg import io_formats
 from prefarg import (
     Certificate,
     Decision,
@@ -28,6 +31,9 @@ from prefarg import (
     parse_order,
     parse_result,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+import generator  # noqa: E402
 
 
 # --- APX -------------------------------------------------------------------
@@ -127,21 +133,52 @@ def parse_outcome(parse, text: str):
         return type(exc), str(exc), getattr(exc, "line", None)
 
 
-def test_parse_apx_agrees_with_the_line_by_line_reference():
+class CountingSplits:
+    """A compiled pattern that counts its `split` calls and passes everything else through."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.splits = 0
+
+    def split(self, text):
+        self.splits += 1
+        return self.pattern.split(text)
+
+    def __getattr__(self, name):
+        return getattr(self.pattern, name)
+
+
+@pytest.fixture
+def splits(monkeypatch):
+    """`parse_apx`'s plain and full fact patterns, each counting its splits."""
+    plain = CountingSplits(io_formats._PLAIN_FACT)
+    full = CountingSplits(io_formats._FACT)
+    monkeypatch.setattr(io_formats, "_PLAIN_FACT", plain)
+    monkeypatch.setattr(io_formats, "_FACT", full)
+    return plain, full
+
+
+def test_parse_apx_agrees_with_the_line_by_line_reference(splits):
     rng = random.Random(9)
     kinds = set()
+    paths = {"plain": 0, "fallback": 0}
     for _ in range(4000):
         text = random_apx_text(rng)
         expected = parse_outcome(reference_parse_apx, text)
+        before = splits[1].splits
         assert parse_outcome(parse_apx, text) == expected, text
+        paths["fallback" if splits[1].splits > before else "plain"] += 1
         kinds.add(type(expected) if isinstance(expected, Framework) else expected[0])
     assert kinds == {Framework, ParseError, UnknownArgumentError}
+    assert splits[0].splits == 4000
+    assert paths["plain"] and paths["fallback"], paths
 
 
-def test_parse_apx_agrees_with_the_reference_after_one_inserted_character():
+def test_parse_apx_agrees_with_the_reference_after_one_inserted_character(splits):
     rng = random.Random(10)
     inserts = [c for c in SPACES if c] + list(LINE_BREAKS) + list("x(),.%\xe9")
     outcomes = set()
+    paths = {"plain": 0, "fallback": 0}
     for i in range(3000):
         text = random_apx_text(rng)
         while not isinstance(parse_outcome(reference_parse_apx, text), Framework):
@@ -149,9 +186,22 @@ def test_parse_apx_agrees_with_the_reference_after_one_inserted_character():
         pos = rng.randrange(len(text) + 1)
         text = text[:pos] + inserts[i % len(inserts)] + text[pos:]
         expected = parse_outcome(reference_parse_apx, text)
+        before = splits[1].splits
         assert parse_outcome(parse_apx, text) == expected, text
+        paths["fallback" if splits[1].splits > before else "plain"] += 1
         outcomes.add(type(expected) if isinstance(expected, Framework) else expected[0])
     assert outcomes == {Framework, ParseError, UnknownArgumentError}
+    assert paths["plain"] and paths["fallback"], paths
+
+
+def test_parse_apx_splits_the_written_form_once(splits):
+    """What `emit_apx`, `gen` and the benchmark generator write takes the plain split alone."""
+    rng = random.Random(14)
+    texts = [emit_apx(random_framework(rng, rng.randrange(0, 12), rng.random())) for _ in range(40)]
+    texts += [f"% seed: 1\n{texts[-1]}", generator.near_miss_batch(1, count=1, sizes=(100, 200))[0].apx()]
+    for count, text in enumerate(texts, start=1):
+        assert parse_apx(text) == reference_parse_apx(text)
+        assert (splits[0].splits, splits[1].splits) == (count, 0), text
 
 
 def test_parse_apx_reads_every_line_break_of_splitlines():
@@ -177,8 +227,10 @@ def test_parse_apx_names_junk_up_to_a_comment_and_40_characters():
         ("junk arg(a).\n", 1, "junk arg(a)."),
         ("arg(a). junk arg(b).\n", 1, "junk arg(b)."),
         ("arg(a).\narg(b).\n junk", 3, "junk"),
+        ("arg(a).\natt(a,a).junk(a).\n", 2, "junk(a)."),
+        ("arg(a).\natt( a,a ) . junk(a).\n", 2, "junk(a)."),
     ],
-    ids=["before-the-facts", "between-facts", "after-the-facts"],
+    ids=["before-the-facts", "between-facts", "after-the-facts", "beside-plain-facts", "beside-spaced-facts"],
 )
 def test_parse_apx_refuses_junk_anywhere_around_the_facts(text, line, junk):
     with pytest.raises(ParseError) as info:

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,34 @@ def test_every_module_parses_as_the_oldest_supported_python():
     assert sources
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=OLDEST_PYTHON)
+
+
+# Escapes and character classes are skipped whole; what is captured is a
+# possessive quantifier or an atomic group, syntax that Python 3.10's `re` refuses.
+_SYNTAX_SINCE_311 = re.compile(r"\\.|\[\^?\]?(?:\\.|[^\]\\])*\]|(\(\?>|(?:[*+?]|\{\d*,?\d*\})\+)", re.S)
+
+
+def _syntax_since_311(pattern: str) -> list[str]:
+    return [found for found in _SYNTAX_SINCE_311.findall(pattern) if found]
+
+
+def test_the_syntax_scan_finds_possessive_quantifiers_and_atomic_groups():
+    for pattern in (r"a*+", r"a++", r"a?+", r"a{2}+", r"a{1,3}+", r"(?>ab)", r"[a-z]++", r"\d*+"):
+        assert _syntax_since_311(pattern), pattern
+    for pattern in (r"a+", r"a*?", r"\++", r"[*]+", r"[\]*]+", r"(?:a)+", r"\(?>", r"a{2}"):
+        assert not _syntax_since_311(pattern), pattern
+
+
+def test_no_library_pattern_uses_syntax_newer_than_the_oldest_supported_python():
+    """No `re.Pattern` global of the package uses syntax that its oldest Python lacks."""
+    patterns = {}
+    for path in sorted(Path(prefarg.__file__).parent.glob("*.py")):
+        module = importlib.import_module("prefarg" if path.stem == "__init__" else f"prefarg.{path.stem}")
+        found = {name: value for name, value in vars(module).items() if isinstance(value, re.Pattern)}
+        patterns.update({f"{path.stem}.{name}": value.pattern for name, value in found.items()})
+    assert {"io_formats._FACT", "io_formats._PLAIN_FACT", "framework.NAME_PATTERN"} <= set(patterns)
+    late = {name: _syntax_since_311(pattern) for name, pattern in patterns.items()}
+    assert {name: found for name, found in late.items() if found} == {}
 
 
 def test_a_cold_start_loads_neither_dataclasses_nor_inspect():
